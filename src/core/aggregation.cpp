@@ -319,14 +319,7 @@ EdgeUpdate make_edge_update(ModularModel& submodel,
   return up;
 }
 
-void aggregate_module_wise(ModularModel& cloud,
-                           const std::vector<EdgeUpdate>& updates,
-                           AggregationWeighting weighting, float server_mix) {
-  aggregate_module_wise_robust(cloud, updates, weighting, server_mix,
-                               RobustAggregationConfig{});
-}
-
-AggregationOutcome aggregate_module_wise_robust(
+AggregationOutcome aggregate_module_wise(
     ModularModel& cloud, const std::vector<EdgeUpdate>& updates,
     AggregationWeighting weighting, float server_mix,
     const RobustAggregationConfig& robust) {
@@ -358,8 +351,8 @@ AggregationOutcome aggregate_module_wise_robust(
 
   // Anomaly pre-pass: scale-free distance ratios over co-updates; anything
   // above the threshold is dropped before it can bias even a robust
-  // statistic. Skipped entirely under the default config so the legacy path
-  // performs exactly the original operations.
+  // statistic. Skipped entirely under the default config, which is the
+  // plain weighted mean with every anomaly score left at 0.
   if (robust.active() && !valid.empty()) {
     const std::vector<double> scores = anomaly_scores_for(cloud, valid);
     for (std::size_t k = 0; k < valid.size(); ++k) {

@@ -3,45 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/layers_basic.h"
-#include "nn/sequential.h"
-#include "parallel/thread_pool.h"
-#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace nebula {
-
-namespace {
-
-// One module as seen by the batched dispatch path: an Identity passthrough
-// (lin1 == nullptr) or a Residual MLP — Residual(Sequential(Linear, ReLU,
-// Linear)) preserving the layer width, the shape every module built by
-// model_zoo's mlp_module has.
-struct MlpModule {
-  Linear* lin1 = nullptr;
-  Linear* lin2 = nullptr;
-};
-
-bool match_mlp(Layer& layer, std::int64_t width, MlpModule& out) {
-  if (dynamic_cast<Identity*>(&layer) != nullptr) return true;
-  auto* res = dynamic_cast<Residual*>(&layer);
-  if (res == nullptr) return false;
-  auto* seq = dynamic_cast<Sequential*>(&res->inner());
-  if (seq == nullptr || seq->size() != 3) return false;
-  auto* lin1 = dynamic_cast<Linear*>(&(*seq)[0]);
-  auto* relu = dynamic_cast<ReLU*>(&(*seq)[1]);
-  auto* lin2 = dynamic_cast<Linear*>(&(*seq)[2]);
-  if (lin1 == nullptr || relu == nullptr || lin2 == nullptr) return false;
-  if (lin1->in_features() != width || lin2->out_features() != width ||
-      lin1->out_features() != lin2->in_features()) {
-    return false;
-  }
-  out.lin1 = lin1;
-  out.lin2 = lin2;
-  return true;
-}
-
-}  // namespace
 
 ModuleLayer::ModuleLayer(std::vector<LayerPtr> modules,
                          std::vector<std::int64_t> global_ids,
@@ -108,12 +72,6 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
   const std::int64_t s_out = Tensor::numel_from(unit_out);
 
   Tensor y(out_shape_cached_);
-  if (!train && batched_dispatch_ && forward_batched(x, y, s_in, s_out)) {
-    routes_.clear();
-    assigned_.clear();
-    module_outputs_.clear();
-    return y;
-  }
   module_outputs_.assign(n_local, Tensor{});
   for (std::size_t m = 0; m < n_local; ++m) {
     const auto& samples = assigned_[m];
@@ -156,118 +114,6 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
     module_outputs_.clear();
   }
   return y;
-}
-
-bool ModuleLayer::forward_batched(const Tensor& x, Tensor& y,
-                                  std::int64_t s_in, std::int64_t s_out) {
-  if (x.rank() != 2 || s_in != s_out) return false;
-  const std::size_t n_local = modules_.size();
-  std::vector<MlpModule> mlp(n_local);
-  std::vector<std::size_t> live, residual;  // live: any assigned; residual ⊆
-  for (std::size_t m = 0; m < n_local; ++m) {
-    if (assigned_[m].empty()) continue;
-    if (!match_mlp(*modules_[m], s_in, mlp[m])) return false;
-    live.push_back(m);
-    if (mlp[m].lin1 != nullptr) residual.push_back(m);
-  }
-
-  // Gather the routed sub-batch of every residual module, then run the first
-  // Linear of all of them as one gemm_batched call, the elementwise
-  // bias+ReLU per module, the second Linear as another gemm_batched call, and
-  // finally bias + residual add. Every per-item GEMM problem is exactly the
-  // gemm call Linear::forward would have made for that sub-batch, and the
-  // elementwise loops mirror Linear/ReLU/Residual, so the outputs are
-  // bit-identical to the generic per-module traversal — only the dispatch
-  // overhead (one engine entry per stage instead of one per module) and the
-  // cross-module parallelism change.
-  const float* xd = x.data();
-  std::vector<Tensor> subs(n_local), hidden(n_local), outs(n_local);
-  std::vector<GemmBatchItem> items;
-  items.reserve(residual.size());
-  for (std::size_t m : residual) {
-    const auto& samples = assigned_[m];
-    const std::int64_t rows = static_cast<std::int64_t>(samples.size());
-    const std::int64_t h = mlp[m].lin1->out_features();
-    subs[m] = Tensor({rows, s_in});
-    hidden[m] = Tensor({rows, h});
-    outs[m] = Tensor({rows, s_in});
-    float* sd = subs[m].data();
-    for (std::size_t r = 0; r < samples.size(); ++r) {
-      const float* src = xd + static_cast<std::int64_t>(samples[r]) * s_in;
-      std::copy(src, src + s_in, sd + static_cast<std::int64_t>(r) * s_in);
-    }
-    items.push_back({rows, h, s_in, subs[m].data(), s_in,
-                     mlp[m].lin1->weight().value.data(), h, hidden[m].data(),
-                     h});
-  }
-  gemm_batched(Trans::N, Trans::N, items.data(), items.size(),
-               /*accumulate=*/false);
-
-  ThreadPool::global().parallel_for(0, residual.size(), [&](std::size_t idx) {
-    const std::size_t m = residual[idx];
-    Linear* lin = mlp[m].lin1;
-    const std::int64_t rows = hidden[m].dim(0), h = hidden[m].dim(1);
-    float* hd = hidden[m].data();
-    if (lin->has_bias()) {
-      const float* bd = lin->bias().value.data();
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < h; ++c) hd[r * h + c] += bd[c];
-      }
-    }
-    for (std::int64_t i = 0; i < rows * h; ++i) {
-      if (!(hd[i] > 0.0f)) hd[i] = 0.0f;
-    }
-  });
-
-  items.clear();
-  for (std::size_t m : residual) {
-    const std::int64_t rows = hidden[m].dim(0), h = hidden[m].dim(1);
-    items.push_back({rows, s_in, h, hidden[m].data(), h,
-                     mlp[m].lin2->weight().value.data(), s_in, outs[m].data(),
-                     s_in});
-  }
-  gemm_batched(Trans::N, Trans::N, items.data(), items.size(),
-               /*accumulate=*/false);
-
-  ThreadPool::global().parallel_for(0, residual.size(), [&](std::size_t idx) {
-    const std::size_t m = residual[idx];
-    Linear* lin = mlp[m].lin2;
-    const std::int64_t rows = outs[m].dim(0);
-    float* od = outs[m].data();
-    if (lin->has_bias()) {
-      const float* bd = lin->bias().value.data();
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < s_in; ++c) od[r * s_in + c] += bd[c];
-      }
-    }
-    const float* sd = subs[m].data();
-    for (std::int64_t i = 0; i < rows * s_in; ++i) od[i] += sd[i];
-  });
-
-  // Weighted scatter in ascending module order — the same accumulation order
-  // into y as the generic loop. Identity modules scatter the input rows
-  // directly (the generic path's gather + passthrough yields the same bits).
-  for (std::size_t m : live) {
-    const auto& samples = assigned_[m];
-    const bool identity = mlp[m].lin1 == nullptr;
-    for (std::size_t r = 0; r < samples.size(); ++r) {
-      const std::size_t b = samples[r];
-      const SampleRoute& route = routes_[b];
-      float w = 0.0f;
-      for (std::size_t j = 0; j < route.local_modules.size(); ++j) {
-        if (route.local_modules[j] == m) {
-          w = route.weights[j];
-          break;
-        }
-      }
-      const float* src =
-          identity ? xd + static_cast<std::int64_t>(b) * s_in
-                   : outs[m].data() + static_cast<std::int64_t>(r) * s_out;
-      float* dst = y.data() + static_cast<std::int64_t>(b) * s_out;
-      for (std::int64_t i = 0; i < s_out; ++i) dst[i] += w * src[i];
-    }
-  }
-  return true;
 }
 
 Tensor ModuleLayer::backward(const Tensor& grad_out) {

@@ -56,13 +56,6 @@ class ModuleLayer {
   std::size_t size() const { return modules_.size(); }
   Layer& module(std::size_t i) { return *modules_.at(i); }
 
-  /// Toggles the batched inference fast path (on by default). When every
-  /// activated module is an Identity or a Residual MLP, inference dispatch
-  /// runs each Linear stage of all modules as one `gemm_batched` call instead
-  /// of per-module layer traversals. Bit-identical to the generic path —
-  /// this switch exists so tests can compare the two.
-  void set_batched_dispatch(bool on) { batched_dispatch_ = on; }
-  bool batched_dispatch() const { return batched_dispatch_; }
   const std::vector<std::int64_t>& global_ids() const { return global_ids_; }
   std::int64_t full_width() const { return full_width_; }
 
@@ -73,16 +66,9 @@ class ModuleLayer {
   }
 
  private:
-  /// Batched inference dispatch over the routed sub-batches. Returns false
-  /// (leaving `y` untouched) when any activated module does not match the
-  /// supported shapes; the caller then takes the generic path.
-  bool forward_batched(const Tensor& x, Tensor& y, std::int64_t s_in,
-                       std::int64_t s_out);
-
   std::vector<LayerPtr> modules_;
   std::vector<std::int64_t> global_ids_;
   std::int64_t full_width_;
-  bool batched_dispatch_ = true;
 
   // Forward caches (training mode).
   struct SampleRoute {

@@ -231,29 +231,23 @@ AdaptationResult run_adaptation_comparison(TaskEnv& env,
   struct EvalSlot {
     double na = 0.0, la = 0.0, an = 0.0;
     double fa = 0.0, hfl = 0.0, nebula = 0.0;
-    std::exception_ptr error;
   };
   std::vector<EvalSlot> eval_slots(tests.size());
   ThreadPool::global().parallel_for(
       0, tests.size(),
       [&](std::size_t i) {
         EvalSlot& s = eval_slots[i];
-        try {
-          const std::int64_t k = static_cast<std::int64_t>(i);
-          s.na = na.eval_on(tests[i]);
-          s.la = la.eval_on(k, tests[i]);
-          s.an = an.eval_on(k, tests[i]);
-          s.fa = fa.eval_on(tests[i]);
-          s.hfl = hfl.eval_on(k, tests[i]);
-          s.nebula = nebula.eval_resident_on(k, tests[i]);
-        } catch (...) {
-          s.error = std::current_exception();
-        }
+        const std::int64_t k = static_cast<std::int64_t>(i);
+        s.na = na.eval_on(tests[i]);
+        s.la = la.eval_on(k, tests[i]);
+        s.an = an.eval_on(k, tests[i]);
+        s.fa = fa.eval_on(tests[i]);
+        s.hfl = hfl.eval_on(k, tests[i]);
+        s.nebula = nebula.eval_resident_on(k, tests[i]);
       },
       /*grain=*/1);
   AdaptationResult res;
   for (const EvalSlot& s : eval_slots) {
-    if (s.error) std::rethrow_exception(s.error);
     res.na += s.na;
     res.la += s.la;
     res.an += s.an;
@@ -295,6 +289,43 @@ bool model_state_finite(ModularModel& model) {
   return true;
 }
 
+namespace {
+
+/// Shared eval epilogue: serial test draws, parallel pure evals, means.
+void eval_pair(EdgePopulation& pop, const BenchScale& scale, FedAvg& fa,
+               NebulaSystem& sys, double& fedavg_acc, double& nebula_acc) {
+  const std::int64_t eval_n =
+      std::min<std::int64_t>(scale.eval_devices, pop.num_devices());
+  std::vector<Dataset> tests;
+  tests.reserve(static_cast<std::size_t>(eval_n));
+  for (std::int64_t k = 0; k < eval_n; ++k) {
+    tests.push_back(pop.device_test(k, scale.test_samples));
+  }
+  struct EvalSlot {
+    double fedavg = 0.0, nebula = 0.0;
+  };
+  std::vector<EvalSlot> eval_slots(tests.size());
+  ThreadPool::global().parallel_for(
+      0, tests.size(),
+      [&](std::size_t i) {
+        EvalSlot& s = eval_slots[i];
+        s.fedavg = fa.eval_on(tests[i]);
+        s.nebula = sys.eval_derived_on(static_cast<std::int64_t>(i), tests[i]);
+      },
+      /*grain=*/1);
+  fedavg_acc = 0.0;
+  nebula_acc = 0.0;
+  for (const EvalSlot& s : eval_slots) {
+    fedavg_acc += s.fedavg;
+    nebula_acc += s.nebula;
+  }
+  const double inv = 1.0 / static_cast<double>(eval_n);
+  fedavg_acc *= inv;
+  nebula_acc *= inv;
+}
+
+}  // namespace
+
 FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
                                       const FaultConfig& faults,
                                       std::uint64_t seed) {
@@ -304,9 +335,6 @@ FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
   TrainConfig pre;
   pre.epochs = scale.pretrain_epochs;
   pre.lr = env.spec.pretrain_lr;
-  const std::int64_t eval_n =
-      std::min<std::int64_t>(scale.eval_devices, pop.num_devices());
-
   init::reseed(seed + 41);
   FedAvgConfig fc;
   fc.devices_per_round = scale.devices_per_round;
@@ -342,39 +370,7 @@ FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
     res.round_reports.push_back(std::move(rep));
   }
 
-  // Serial test-set draws (population RNG), then pure evals fan out; sums
-  // accumulate in index order (see run_adaptation_comparison).
-  std::vector<Dataset> tests;
-  tests.reserve(static_cast<std::size_t>(eval_n));
-  for (std::int64_t k = 0; k < eval_n; ++k) {
-    tests.push_back(pop.device_test(k, scale.test_samples));
-  }
-  struct EvalSlot {
-    double fedavg = 0.0, nebula = 0.0;
-    std::exception_ptr error;
-  };
-  std::vector<EvalSlot> eval_slots(tests.size());
-  ThreadPool::global().parallel_for(
-      0, tests.size(),
-      [&](std::size_t i) {
-        EvalSlot& s = eval_slots[i];
-        try {
-          s.fedavg = fa.eval_on(tests[i]);
-          s.nebula =
-              sys.eval_derived_on(static_cast<std::int64_t>(i), tests[i]);
-        } catch (...) {
-          s.error = std::current_exception();
-        }
-      },
-      /*grain=*/1);
-  for (const EvalSlot& s : eval_slots) {
-    if (s.error) std::rethrow_exception(s.error);
-    res.fedavg_acc += s.fedavg;
-    res.nebula_acc += s.nebula;
-  }
-  const double inv = 1.0 / static_cast<double>(eval_n);
-  res.fedavg_acc *= inv;
-  res.nebula_acc *= inv;
+  eval_pair(pop, scale, fa, sys, res.fedavg_acc, res.nebula_acc);
 
   res.nebula_finite = model_state_finite(sys.cloud());
   for (float x : get_state(fa.global())) {
@@ -390,50 +386,6 @@ FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
       .set(wall.elapsed_s());
   return res;
 }
-
-namespace {
-
-/// Shared eval epilogue: serial test draws, parallel pure evals, means.
-void eval_pair(EdgePopulation& pop, const BenchScale& scale, FedAvg& fa,
-               NebulaSystem& sys, double& fedavg_acc, double& nebula_acc) {
-  const std::int64_t eval_n =
-      std::min<std::int64_t>(scale.eval_devices, pop.num_devices());
-  std::vector<Dataset> tests;
-  tests.reserve(static_cast<std::size_t>(eval_n));
-  for (std::int64_t k = 0; k < eval_n; ++k) {
-    tests.push_back(pop.device_test(k, scale.test_samples));
-  }
-  struct EvalSlot {
-    double fedavg = 0.0, nebula = 0.0;
-    std::exception_ptr error;
-  };
-  std::vector<EvalSlot> eval_slots(tests.size());
-  ThreadPool::global().parallel_for(
-      0, tests.size(),
-      [&](std::size_t i) {
-        EvalSlot& s = eval_slots[i];
-        try {
-          s.fedavg = fa.eval_on(tests[i]);
-          s.nebula =
-              sys.eval_derived_on(static_cast<std::int64_t>(i), tests[i]);
-        } catch (...) {
-          s.error = std::current_exception();
-        }
-      },
-      /*grain=*/1);
-  fedavg_acc = 0.0;
-  nebula_acc = 0.0;
-  for (const EvalSlot& s : eval_slots) {
-    if (s.error) std::rethrow_exception(s.error);
-    fedavg_acc += s.fedavg;
-    nebula_acc += s.nebula;
-  }
-  const double inv = 1.0 / static_cast<double>(eval_n);
-  fedavg_acc *= inv;
-  nebula_acc *= inv;
-}
-
-}  // namespace
 
 ByzantineSweepResult run_byzantine_comparison(
     TaskEnv& env, const BenchScale& scale, const FaultConfig& faults,

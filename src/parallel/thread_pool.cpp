@@ -137,7 +137,17 @@ void ThreadPool::run_chunks() {
     if (c >= nchunks) break;
     const std::size_t lo = job_begin_ + c * job_chunk_;
     const std::size_t hi = std::min(job_end_, lo + job_chunk_);
-    if (lo < hi) job_fn_(job_ctx_, lo, hi);
+    try {
+      if (lo < hi) job_fn_(job_ctx_, lo, hi);
+    } catch (...) {
+      // Chunks are contiguous and ascending, so the lowest throwing chunk
+      // holds the exception a serial loop would have thrown first.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!job_error_ || c < job_error_chunk_) {
+        job_error_ = std::current_exception();
+        job_error_chunk_ = c;
+      }
+    }
     job_completed_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -221,8 +231,11 @@ void ThreadPool::parallel_run(std::size_t begin, std::size_t end, RangeFn fn,
            job_workers_ == 0;
   });
   job_active_ = false;
+  std::exception_ptr error = std::move(job_error_);
+  job_error_ = nullptr;
   lock.unlock();
   done_cv_.notify_all();  // release any caller queued for the job slot
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace nebula

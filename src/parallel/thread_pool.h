@@ -20,6 +20,12 @@
 //    `current_worker_index()`. Buffers are grow-only and persist across
 //    parallel regions, so hot kernels (im2col, GEMM packing) reuse memory
 //    instead of allocating per call.
+//  * Exceptions: the pool catches a throw per chunk. Every chunk of the
+//    region still runs; the exception of the lowest-index throwing chunk is
+//    kept, and after the region drains it is rethrown on the calling thread.
+//    Chunks are contiguous and ascending, so that is the exception a serial
+//    loop would throw first, for any pool size (inline regions are that
+//    serial loop). Callers need no per-item capture of their own.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +33,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -175,7 +182,8 @@ class ThreadPool {
   /// Runs fn(ctx, lo, hi) over a static chunking of [begin, end). Blocks
   /// until all chunks finish. `grain` is the minimum chunk width; ranges no
   /// wider than one grain (and nested calls from this pool's own workers)
-  /// run inline on the calling thread.
+  /// run inline on the calling thread. If any chunk throws, the rest still
+  /// run and the lowest chunk's exception is rethrown here.
   void parallel_run(std::size_t begin, std::size_t end, RangeFn fn, void* ctx,
                     std::size_t grain = 1);
 
@@ -264,6 +272,8 @@ class ThreadPool {
   std::size_t job_chunk_ = 0, job_nchunks_ = 0;
   std::atomic<std::size_t> job_next_{0};
   std::atomic<std::size_t> job_completed_{0};
+  std::exception_ptr job_error_;      // guarded by mu_; lowest throwing chunk
+  std::size_t job_error_chunk_ = 0;   // guarded by mu_
 };
 
 /// Convenience free function over the global pool.

@@ -8,8 +8,7 @@
 //    portable kernel across remainder shapes around every tile boundary
 //    (tolerance-compared — FMA contraction is the only permitted difference);
 //  * fused im2col vs explicit: gemm_im2col against materialise-then-gemm,
-//    bit-identical;
-//  * gemm_batched vs looped gemm, bit-identical.
+//    bit-identical.
 //
 // CTest runs this binary twice (label `kernels`): once with runtime dispatch
 // and once under NEBULA_FORCE_PORTABLE_KERNEL=1, where the SIMD comparisons
@@ -380,68 +379,6 @@ TEST(FusedIm2col, BitIdenticalToExplicitLowering) {
                   got_t.data(), rows, true);
       expect_bits_equal(got_t.data(), want_t.data(), got_t.numel(),
                         "fused dW");
-    }
-  }
-}
-
-TEST(GemmBatched, BitIdenticalToLoopedGemm) {
-  // Mixed batch: sub-threshold items (naive fan-out), blocked items, and a
-  // run of blocked items sharing one B operand (the pack-once group path).
-  Rng rng(1717);
-  struct Shape {
-    std::int64_t m, n, k;
-    bool share_b;
-  };
-  const Shape shapes[] = {
-      {3, 5, 4, false},    {7, 9, 11, false},  {40, 64, 48, false},
-      {24, 64, 48, true},  {56, 64, 48, true}, {16, 64, 48, true},
-      {5, 3, 2, false},    {96, 33, 17, false},
-  };
-  const std::size_t count = sizeof(shapes) / sizeof(shapes[0]);
-  Tensor shared_b({48, 64});
-  fill_random(shared_b, rng);
-  std::vector<Tensor> as, bs, c_batch, c_loop;
-  for (const auto& s : shapes) {
-    as.emplace_back(Tensor({s.m, s.k}));
-    fill_random(as.back(), rng);
-    if (!s.share_b) {
-      bs.emplace_back(Tensor({s.k, s.n}));
-      fill_random(bs.back(), rng);
-    } else {
-      bs.emplace_back(Tensor({1}));  // placeholder, shared_b used instead
-    }
-    Tensor c0({s.m, s.n});
-    fill_random(c0, rng);  // exercised by the accumulate pass below
-    c_batch.push_back(c0);
-    c_loop.push_back(c0);
-  }
-  for (bool accumulate : {false, true}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ScopedPool scope(threads);
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " accumulate=" << accumulate);
-      std::vector<GemmBatchItem> items;
-      for (std::size_t i = 0; i < count; ++i) {
-        const float* b =
-            shapes[i].share_b ? shared_b.data() : bs[i].data();
-        items.push_back({shapes[i].m, shapes[i].n, shapes[i].k,
-                         as[i].data(), shapes[i].k, b, shapes[i].n,
-                         c_batch[i].data(), shapes[i].n});
-      }
-      gemm_batched(Trans::N, Trans::N, items.data(), items.size(),
-                   accumulate);
-      for (std::size_t i = 0; i < count; ++i) {
-        const float* b =
-            shapes[i].share_b ? shared_b.data() : bs[i].data();
-        gemm(Trans::N, Trans::N, shapes[i].m, shapes[i].n, shapes[i].k,
-             as[i].data(), shapes[i].k, b, shapes[i].n, c_loop[i].data(),
-             shapes[i].n, accumulate);
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        SCOPED_TRACE(testing::Message() << "item " << i);
-        expect_bits_equal(c_batch[i].data(), c_loop[i].data(),
-                          c_batch[i].numel(), "gemm_batched");
-      }
     }
   }
 }

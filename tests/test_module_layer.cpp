@@ -271,9 +271,10 @@ TEST(ModuleLayer, ConstructorValidatesIds) {
 }
 
 // Residual MLP modules of varying hidden widths plus an Identity — the shape
-// the batched inference dispatch targets (model_zoo's mlp_module). The fast
-// path must be bit-identical to the generic per-module traversal.
-TEST(ModuleLayer, BatchedDispatchBitIdenticalToGenericPath) {
+// model_zoo's mlp_module builds. Inference and training forwards run the same
+// traversal, so they give the same bits; an inference forward keeps no
+// caches, so a backward after it is refused.
+TEST(ModuleLayer, InferenceForwardMatchesTrainBitsAndKeepsNoCaches) {
   init::reseed(308);
   const std::int64_t width = 24, batch = 9;
   std::vector<LayerPtr> mods;
@@ -297,27 +298,19 @@ TEST(ModuleLayer, BatchedDispatchBitIdenticalToGenericPath) {
   RoutingOpts opts;
   opts.top_k = 2;
 
-  ASSERT_TRUE(layer.batched_dispatch());
-  Tensor y_fast = layer.forward(x, gates, opts, /*train=*/false);
-  layer.set_batched_dispatch(false);
-  Tensor y_generic = layer.forward(x, gates, opts, /*train=*/false);
-  layer.set_batched_dispatch(true);
-
-  ASSERT_EQ(y_fast.numel(), y_generic.numel());
-  for (std::int64_t i = 0; i < y_fast.numel(); ++i) {
-    ASSERT_EQ(y_fast[static_cast<std::size_t>(i)],
-              y_generic[static_cast<std::size_t>(i)])
-        << "fast path diverged at " << i;
-  }
-
-  // Training mode must ignore the fast path (it needs per-module caches).
   Tensor y_train = layer.forward(x, gates, opts, /*train=*/true);
-  ASSERT_EQ(y_train.numel(), y_fast.numel());
-  for (std::int64_t i = 0; i < y_fast.numel(); ++i) {
+  Tensor y_infer = layer.forward(x, gates, opts, /*train=*/false);
+  ASSERT_EQ(y_train.numel(), y_infer.numel());
+  for (std::int64_t i = 0; i < y_infer.numel(); ++i) {
     ASSERT_EQ(y_train[static_cast<std::size_t>(i)],
-              y_fast[static_cast<std::size_t>(i)])
+              y_infer[static_cast<std::size_t>(i)])
         << "train/eval divergence at " << i;
   }
+
+  // The inference forward dropped the training forward's caches.
+  Tensor grad(y_infer.shape());
+  fill_random(grad, rng);
+  EXPECT_THROW(layer.backward(grad), std::runtime_error);
 }
 
 }  // namespace

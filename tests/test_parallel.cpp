@@ -1,14 +1,19 @@
-// Thread pool, parallel_for, and deterministic-reduction tests.
+// Thread pool, parallel_for, deterministic-reduction and exception-propagation
+// tests. Built into the `parallel`-labelled binary so they also run under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -309,6 +314,204 @@ TEST(ThreadPool, ManyConsecutiveRegionsStress) {
         },
         1);
     ASSERT_EQ(sum.load(), 257L * 256 / 2);
+  }
+}
+
+// ---- Exceptions thrown inside a parallel region -----------------------------
+
+constexpr std::size_t kPoolSizes[] = {1, 2, 4, 7};
+
+struct IndexError : std::runtime_error {
+  explicit IndexError(std::size_t i)
+      : std::runtime_error("index " + std::to_string(i)), index(i) {}
+  std::size_t index;
+};
+
+// Runs `region` and returns the index carried by the IndexError it throws,
+// or SIZE_MAX when it throws nothing.
+template <typename F>
+std::size_t thrown_index(const F& region) {
+  try {
+    region();
+  } catch (const IndexError& e) {
+    return e.index;
+  }
+  return SIZE_MAX;
+}
+
+// Chunk-body barrier: `arrive` blocks until `want` distinct threads have
+// arrived (or a generous timeout passes), so a region's chunks spread over
+// real workers instead of all being claimed by the caller.
+class PeerBarrier {
+ public:
+  explicit PeerBarrier(std::size_t want) : want_(want) {}
+
+  void arrive() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (threads_.size() >= want_) return;
+      }
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::size_t want_;
+  std::mutex mu_;
+  std::set<std::thread::id> threads_;
+};
+
+TEST(ThreadPoolExceptions, ThrowAtAnyIndexReachesCaller) {
+  const std::size_t n = 64;
+  for (std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    for (std::size_t bad : {std::size_t{0}, n / 2, n - 1}) {
+      SCOPED_TRACE(testing::Message() << "pool=" << threads << " bad=" << bad);
+      std::vector<std::atomic<int>> hits(n);
+      EXPECT_EQ(thrown_index([&] {
+                  pool.parallel_for(0, n, [&](std::size_t i) {
+                    if (i == bad) throw IndexError(i);
+                    hits[i]++;
+                  });
+                }),
+                bad);
+      // Every other chunk still ran: the last index lives in the last chunk,
+      // which a throw at index 0 must not cancel.
+      if (threads > 1 && bad == 0) {
+        EXPECT_EQ(hits[n - 1].load(), 1);
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolExceptions, LowerIndexExceptionWins) {
+  const std::size_t n = 64, low = 5, high = 50;
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(testing::Message() << "pool=" << threads);
+    ThreadPool pool(threads);
+    std::atomic<bool> high_thrown{false};
+    EXPECT_EQ(thrown_index([&] {
+                pool.parallel_for(0, n, [&](std::size_t i) {
+                  if (i == high) {
+                    high_thrown = true;
+                    throw IndexError(i);
+                  }
+                  if (i == low) {
+                    // On a multi-thread pool, let the higher index throw
+                    // first so arrival order cannot decide the winner.
+                    const auto deadline = std::chrono::steady_clock::now() +
+                                          std::chrono::seconds(5);
+                    while (threads > 1 && !high_thrown &&
+                           std::chrono::steady_clock::now() < deadline) {
+                      std::this_thread::yield();
+                    }
+                    throw IndexError(i);
+                  }
+                });
+              }),
+              low);
+  }
+}
+
+TEST(ThreadPoolExceptions, PoolStillUsesWorkersAfterThrow) {
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(testing::Message() << "pool=" << threads);
+    ThreadPool pool(threads);
+    EXPECT_EQ(thrown_index([&] {
+                pool.parallel_for(0, threads * 4, [&](std::size_t i) {
+                  if (i % 3 == 0) throw IndexError(i);
+                });
+              }),
+              0u);
+    PeerBarrier barrier(std::min<std::size_t>(threads, 2));
+    std::atomic<bool> saw_worker{false};
+    std::atomic<int> ran{0};
+    pool.parallel_for(0, threads, [&](std::size_t) {
+      barrier.arrive();
+      if (ThreadPool::current_worker_index() > 0) saw_worker = true;
+      ran++;
+    });
+    EXPECT_EQ(ran.load(), static_cast<int>(threads));
+    EXPECT_EQ(saw_worker.load(), threads > 1);
+  }
+}
+
+TEST(ThreadPoolExceptions, NestedRegionThrowPropagates) {
+  // Every outer index starts a nested region that throws, on workers too;
+  // the lowest outer index's nested exception wins.
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(testing::Message() << "pool=" << threads);
+    ThreadPool pool(threads);
+    PeerBarrier barrier(std::min<std::size_t>(threads, 2));
+    EXPECT_EQ(thrown_index([&] {
+                pool.parallel_for(0, 8, [&](std::size_t outer) {
+                  barrier.arrive();
+                  pool.parallel_for(0, 10, [&](std::size_t inner) {
+                    if (inner == 2) throw IndexError(outer * 10 + inner);
+                  });
+                });
+              }),
+              2u);
+  }
+}
+
+TEST(ThreadPoolExceptions, ThrowingReductionReleasesArena) {
+  const std::size_t n = 40;
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(testing::Message() << "pool=" << threads);
+    ThreadPool pool(threads);
+    PeerBarrier barrier(std::min<std::size_t>(threads, 2));
+    bool merged = false;
+    EXPECT_EQ(thrown_index([&] {
+                pool.reduce_ordered(
+                    0, n, 1,
+                    [&](std::size_t lo, std::size_t, float*) {
+                      barrier.arrive();
+                      throw IndexError(lo);
+                    },
+                    [&](const float*) { merged = true; });
+              }),
+              0u);
+    EXPECT_FALSE(merged);
+    float total = -1.0f;
+    pool.reduce_ordered(
+        0, n, 1,
+        [](std::size_t lo, std::size_t hi, float* acc) {
+          acc[0] += static_cast<float>(hi - lo);
+        },
+        [&](const float* sum) { total = sum[0]; });
+    EXPECT_EQ(total, static_cast<float>(n));
+  }
+}
+
+TEST(ThreadPoolExceptions, ScratchLeaseViolationOnWorkerIsRuntimeError) {
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(testing::Message() << "pool=" << threads);
+    ThreadPool pool(threads);
+    PeerBarrier barrier(std::min<std::size_t>(threads, 2));
+    EXPECT_THROW(
+        pool.parallel_for(0, threads, [&](std::size_t) {
+          barrier.arrive();
+          // On a multi-thread pool only workers break the rule, so the
+          // error must cross from a worker thread to the caller.
+          if (threads > 1 && ThreadPool::current_worker_index() == 0) return;
+          ThreadPool::ScratchLease lease(pool, ThreadPool::kScratchConvGrad,
+                                         16);
+          pool.scratch_floats(ThreadPool::kScratchConvGrad, 16);
+        }),
+        std::runtime_error);
+    // Every lease unwound with its chunk, so each participant can lease the
+    // slot again.
+    EXPECT_NO_THROW(pool.parallel_for(0, threads, [&](std::size_t) {
+      ThreadPool::ScratchLease lease(pool, ThreadPool::kScratchConvGrad, 16);
+    }));
   }
 }
 

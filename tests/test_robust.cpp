@@ -82,7 +82,7 @@ TEST(RobustAggregation, MedianResistsSingleOutlier) {
   auto u1 = update_for(*zm.model, spec, 1.0f, 0.5, 10);
   auto u2 = update_for(*zm.model, spec, 2.0f, 0.5, 10);
   auto u3 = update_for(*zm.model, spec, 100.0f, 0.5, 10);
-  auto out = aggregate_module_wise_robust(
+  auto out = aggregate_module_wise(
       *zm.model, {u1, u2, u3}, AggregationWeighting::kImportance, 1.0f,
       config_for(RobustAggregatorKind::kMedian));
   EXPECT_TRUE(out.applied);
@@ -99,9 +99,9 @@ TEST(RobustAggregation, MedianEvenCountAveragesMiddlePair) {
   for (float fill : {1.0f, 2.0f, 3.0f, 100.0f}) {
     ups.push_back(update_for(*zm.model, spec, fill, 0.5, 10));
   }
-  aggregate_module_wise_robust(*zm.model, ups,
-                               AggregationWeighting::kImportance, 1.0f,
-                               config_for(RobustAggregatorKind::kMedian));
+  aggregate_module_wise(*zm.model, ups,
+                        AggregationWeighting::kImportance, 1.0f,
+                        config_for(RobustAggregatorKind::kMedian));
   for (float v : zm.model->module_state(0, 0)) EXPECT_FLOAT_EQ(v, 2.5f);
 }
 
@@ -115,8 +115,8 @@ TEST(RobustAggregation, TrimmedMeanDropsBothTails) {
   }
   auto cfg = config_for(RobustAggregatorKind::kTrimmedMean);
   cfg.trim_fraction = 0.2;  // floor(0.2 * 5) = 1 from each tail
-  aggregate_module_wise_robust(*zm.model, ups,
-                               AggregationWeighting::kImportance, 1.0f, cfg);
+  aggregate_module_wise(*zm.model, ups,
+                        AggregationWeighting::kImportance, 1.0f, cfg);
   for (float v : zm.model->module_state(0, 0)) EXPECT_FLOAT_EQ(v, 3.0f);
   for (float v : zm.model->shared_state()) EXPECT_FLOAT_EQ(v, 3.0f);
 }
@@ -131,7 +131,7 @@ TEST(RobustAggregation, TrimmedMeanClampsOverAggressiveTrim) {
   auto u2 = update_for(*zm.model, spec, 3.0f, 0.5, 10);
   auto cfg = config_for(RobustAggregatorKind::kTrimmedMean);
   cfg.trim_fraction = 0.5;
-  auto out = aggregate_module_wise_robust(
+  auto out = aggregate_module_wise(
       *zm.model, {u1, u2}, AggregationWeighting::kImportance, 1.0f, cfg);
   EXPECT_TRUE(out.applied);
   for (float v : zm.model->module_state(0, 0)) EXPECT_FLOAT_EQ(v, 2.0f);
@@ -145,38 +145,33 @@ TEST(RobustAggregation, KrumPicksClusteredCandidate) {
   for (float fill : {1.0f, 1.0f, 1.0f, 100.0f}) {
     ups.push_back(update_for(*zm.model, spec, fill, 0.5, 10));
   }
-  aggregate_module_wise_robust(*zm.model, ups,
-                               AggregationWeighting::kImportance, 1.0f,
-                               config_for(RobustAggregatorKind::kKrum));
+  aggregate_module_wise(*zm.model, ups,
+                        AggregationWeighting::kImportance, 1.0f,
+                        config_for(RobustAggregatorKind::kKrum));
   // The winner must come from the 3-strong cluster, never the outlier.
   for (float v : zm.model->module_state(0, 0)) EXPECT_FLOAT_EQ(v, 1.0f);
   for (float v : zm.model->shared_state()) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
-TEST(RobustAggregation, DefaultConfigMatchesLegacyWrapper) {
-  // The default RobustAggregationConfig must be the original weighted-mean
-  // aggregation, bit for bit — same clouds, same updates, same result.
-  auto zm_a = make_cloud();
-  auto zm_b = make_cloud();
+TEST(RobustAggregation, DefaultArgumentsApplyWeightedMeanWithoutScoring) {
+  // The single entry point with every optional argument defaulted is the
+  // plain weighted mean: the update lands, nothing is rejected, and no
+  // scoring pass runs.
+  auto zm = make_cloud();
   SubmodelSpec spec;
   spec.modules = {{0, 1}};
-  auto mk = [&](ModularModel& cloud) {
-    return std::vector<EdgeUpdate>{
-        update_for(cloud, spec, 0.37f, 0.75, 31),
-        update_for(cloud, spec, -1.2f, 0.25, 77),
-        update_for(cloud, spec, 5.5f, 0.5, 12),
-    };
-  };
-  aggregate_module_wise(*zm_a.model, mk(*zm_a.model),
-                        AggregationWeighting::kImportance, 0.5f);
-  auto out = aggregate_module_wise_robust(*zm_b.model, mk(*zm_b.model),
-                                          AggregationWeighting::kImportance,
-                                          0.5f, RobustAggregationConfig{});
+  auto u1 = update_for(*zm.model, spec, 1.0f, 0.5, 10);
+  auto u2 = update_for(*zm.model, spec, 3.0f, 0.5, 10);
+  auto out = aggregate_module_wise(*zm.model, {u1, u2});
   EXPECT_TRUE(out.applied);
-  // Inactive config: the score vector stays parallel to `updates` but no
-  // scoring pass ran — every entry is exactly 0.
-  EXPECT_EQ(out.anomaly_scores, std::vector<double>(3, 0.0));
-  EXPECT_EQ(model_snapshot(*zm_a.model), model_snapshot(*zm_b.model));
+  EXPECT_TRUE(out.invalid.empty());
+  EXPECT_TRUE(out.robust_rejected.empty());
+  // The score vector stays parallel to `updates`, every entry exactly 0.
+  EXPECT_EQ(out.anomaly_scores, std::vector<double>(2, 0.0));
+  for (std::int64_t gid : {0, 1}) {
+    for (float v : zm.model->module_state(0, gid)) EXPECT_FLOAT_EQ(v, 2.0f);
+  }
+  for (float v : zm.model->shared_state()) EXPECT_FLOAT_EQ(v, 2.0f);
 }
 
 TEST(RobustAggregation, AnomalyGateRejectsSignFlippedUpdate) {
@@ -190,7 +185,7 @@ TEST(RobustAggregation, AnomalyGateRejectsSignFlippedUpdate) {
   ups.push_back(update_for(*zm.model, spec, -1.0f, 0.5, 10));  // sign-flipped
   RobustAggregationConfig cfg;  // weighted mean + gate: scoring alone defends
   cfg.anomaly_threshold = 4.0;
-  auto out = aggregate_module_wise_robust(
+  auto out = aggregate_module_wise(
       *zm.model, ups, AggregationWeighting::kImportance, 1.0f, cfg);
   ASSERT_EQ(out.robust_rejected, (std::vector<std::size_t>{4}));
   ASSERT_EQ(out.anomaly_scores.size(), 5u);
@@ -211,7 +206,7 @@ TEST(RobustAggregation, AnomalyScoresNeedThreeCarriers) {
   auto u2 = update_for(*zm.model, spec, -1.0f, 0.5, 10);
   RobustAggregationConfig cfg;
   cfg.anomaly_threshold = 4.0;
-  auto out = aggregate_module_wise_robust(
+  auto out = aggregate_module_wise(
       *zm.model, {u1, u2}, AggregationWeighting::kImportance, 1.0f, cfg);
   EXPECT_TRUE(out.robust_rejected.empty());
   ASSERT_EQ(out.anomaly_scores.size(), 2u);
@@ -230,7 +225,7 @@ TEST(RobustAggregation, AllInvalidUnderRobustKindIsNoOp) {
   bad1.num_samples = 0;
   auto bad2 = update_for(*zm.model, spec, 1.0f, 0.5, 10);
   bad2.shared_state[0] = std::nanf("");
-  auto out = aggregate_module_wise_robust(
+  auto out = aggregate_module_wise(
       *zm.model, {bad1, bad2}, AggregationWeighting::kImportance, 1.0f,
       config_for(RobustAggregatorKind::kMedian));
   EXPECT_FALSE(out.applied);
@@ -241,7 +236,7 @@ TEST(RobustAggregation, AllInvalidUnderRobustKindIsNoOp) {
 TEST(RobustAggregation, EmptyUpdateListUnderRobustKindIsNoOp) {
   auto zm = make_cloud();
   const auto before = model_snapshot(*zm.model);
-  auto out = aggregate_module_wise_robust(
+  auto out = aggregate_module_wise(
       *zm.model, {}, AggregationWeighting::kImportance, 1.0f,
       config_for(RobustAggregatorKind::kKrum));
   EXPECT_FALSE(out.applied);
@@ -256,7 +251,7 @@ TEST(RobustAggregation, SingleParticipantRobustKindsDegradeToIdentity) {
     SubmodelSpec spec;
     spec.modules = {{0}};
     auto up = update_for(*zm.model, spec, 7.0f, 0.5, 10);
-    auto out = aggregate_module_wise_robust(
+    auto out = aggregate_module_wise(
         *zm.model, {up}, AggregationWeighting::kImportance, 1.0f,
         config_for(kind));
     EXPECT_TRUE(out.applied);

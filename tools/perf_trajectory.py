@@ -79,6 +79,17 @@ def run_experiments(experiments_bin):
     return results
 
 
+def src_lines(repo_root):
+    """Line count of src/**/*.{h,cpp}: the library size, tracked per entry."""
+    total = 0
+    for dirpath, _, files in os.walk(os.path.join(repo_root, "src")):
+        for name in files:
+            if name.endswith((".h", ".cpp")):
+                with open(os.path.join(dirpath, name), "rb") as f:
+                    total += sum(1 for _ in f)
+    return total
+
+
 def load_trajectory(path, note):
     if os.path.exists(path):
         with open(path) as f:
@@ -135,7 +146,8 @@ def run_kernel_suite(args):
 
     out_path = os.path.join(args.repo_root, "BENCH_kernels.json")
     raw_ctx = raw.get("context", {})
-    context = {"num_cpus": raw_ctx.get("num_cpus")}
+    context = {"num_cpus": raw_ctx.get("num_cpus"),
+               "src_lines": src_lines(args.repo_root)}
     # Dispatch context, emitted by bench_micro_kernels' custom main: which
     # micro-kernel ran and what the CPU advertises. Old dumps lack these.
     for key in ("gemm_kernel", "cpu_features"):
@@ -165,7 +177,8 @@ def run_experiment_suite(args):
         return 1
 
     out_path = os.path.join(args.repo_root, "BENCH_experiments.json")
-    context = {"bench_scale": os.environ.get("NEBULA_BENCH_SCALE", "1")}
+    context = {"bench_scale": os.environ.get("NEBULA_BENCH_SCALE", "1"),
+               "src_lines": src_lines(args.repo_root)}
     entries = append_entry(out_path, EXPERIMENTS_NOTE, args.label, context,
                            results)
 
