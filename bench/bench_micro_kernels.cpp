@@ -1,7 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the numerical and algorithmic
 // primitives underneath the experiments — GEMM, convolution forward/backward,
 // module-layer dispatch, the derivation knapsack, the assignment program,
-// and module-wise aggregation.
+// module-wise aggregation, and the thread pool's region hand-off.
 #include <benchmark/benchmark.h>
 
 #include "core/aggregation.h"
@@ -13,6 +13,7 @@
 #include "nn/sequential.h"
 #include "opt/assignment_lp.h"
 #include "opt/knapsack.h"
+#include "parallel/thread_pool.h"
 #include "tensor/cpu_features.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -258,6 +259,30 @@ void BM_ModuleWiseAggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModuleWiseAggregation);
+
+// Busy work of `units` fixed-size steps: a dependent float chain the
+// compiler cannot fold, so an item's cost scales with `units` alone.
+void spin_work(int units) {
+  float x = 1.0f;
+  for (int i = 0; i < units * 1024; ++i) x = x * 1.0000001f + 1e-7f;
+  benchmark::DoNotOptimize(x);
+}
+
+// One parallel region on a pool of nproc threads (the caller included), in
+// wall time. `empty4`: four no-op items, i.e. the publish / wake / drain
+// hand-off alone. `uneven10`: a ten-device fan-out whose item 0 costs three
+// times the others, the shape of a round whose sub-models differ in size.
+void BM_PoolRegion(benchmark::State& state, bool uneven) {
+  ThreadPool pool(0);
+  const std::size_t n = uneven ? 10 : 4;
+  for (auto _ : state) {
+    pool.parallel_for(0, n, [uneven](std::size_t i) {
+      if (uneven) spin_work(i == 0 ? 3 : 1);
+    });
+  }
+}
+BENCHMARK_CAPTURE(BM_PoolRegion, empty4, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_PoolRegion, uneven10, true)->UseRealTime();
 
 }  // namespace
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(_M_X64)
+#include <immintrin.h>
+#endif
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -15,6 +19,32 @@ thread_local ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_index = 0;
 
 ThreadPool* g_global_override = nullptr;
+
+// Tells the core this is a spin-wait: yields pipeline resources to a sibling
+// hyper-thread and saves power, without giving up the time slice.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(_M_X64)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+// Spins until `ready()` holds or `ThreadPool::kSpinBudget` of wall-clock
+// time has passed; returns the last `ready()`. The clock is read every few
+// dozen relaxes so the budget holds whatever one relax costs on the host.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinBudget;
+  for (unsigned i = 1;; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+    if (i % 32 == 0 && std::chrono::steady_clock::now() >= deadline) {
+      return ready();
+    }
+  }
+}
 
 }  // namespace
 
@@ -138,7 +168,7 @@ void ThreadPool::run_chunks() {
     const std::size_t lo = job_begin_ + c * job_chunk_;
     const std::size_t hi = std::min(job_end_, lo + job_chunk_);
     try {
-      if (lo < hi) job_fn_(job_ctx_, lo, hi);
+      job_fn_(job_ctx_, lo, hi);
     } catch (...) {
       // Chunks are contiguous and ascending, so the lowest throwing chunk
       // holds the exception a serial loop would have thrown first.
@@ -155,13 +185,31 @@ void ThreadPool::run_chunks() {
 void ThreadPool::worker_loop(std::size_t index) {
   tls_pool = this;
   tls_index = index;
+  static obs::Counter& m_parks = obs::counter("pool.parks");
   std::uint64_t seen = 0;
+  const auto ready = [&] { return stop_ || job_seq_ != seen; };
   for (;;) {
+    // A job published within the spin budget is picked up without a futex
+    // sleep and wake; the job fields themselves are read under mu_ below.
+    if (!spin_until(ready)) {
+      m_parks.add(1);  // the spin ran out: block on cv_ below
+    } else if (!stop_) {
+      // Every chunk of the new job already claimed (a tiny region the caller
+      // ran alone): nothing to join, so stay off the lock and keep spinning.
+      const std::uint64_t seq = job_seq_;
+      if (job_next_.load(std::memory_order_relaxed) >= job_nchunks_) {
+        seen = seq;
+        continue;
+      }
+    }
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || (job_active_ && job_seq_ != seen); });
+      cv_.wait(lock, ready);
       if (stop_) return;
       seen = job_seq_;
+      // The caller (and any spinning peers) may have drained this job before
+      // we got here; then wait for the next one.
+      if (!job_active_) continue;
       ++job_workers_;
     }
     run_chunks();
@@ -183,6 +231,7 @@ void ThreadPool::parallel_run(std::size_t begin, std::size_t end, RangeFn fn,
   // inline execution keeps nested kernels correct and cheap).
   static obs::Counter& m_regions = obs::counter("pool.regions");
   static obs::Counter& m_inline = obs::counter("pool.regions_inline");
+  static obs::Counter& m_chunks = obs::counter("pool.chunks");
   m_regions.add(1);
   if (size() == 1 || n <= grain || tls_pool == this) {
     m_inline.add(1);
@@ -191,10 +240,13 @@ void ThreadPool::parallel_run(std::size_t begin, std::size_t end, RangeFn fn,
   }
   NEBULA_SPAN("pool.region");
 
-  // Static partition: at most one chunk per participant, rounded to grain.
-  const std::size_t chunks =
-      std::min(size(), (n + grain - 1) / grain);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
+  // Dynamic partition: up to kChunksPerParticipant chunks per participant,
+  // none narrower than grain except the last, claimed in ascending order.
+  const std::size_t max_chunks = kChunksPerParticipant * size();
+  const std::size_t chunk_size =
+      std::max(grain, (n + max_chunks - 1) / max_chunks);
+  const std::size_t chunks = (n + chunk_size - 1) / chunk_size;
+  m_chunks.add(static_cast<std::int64_t>(chunks));
 
   std::unique_lock<std::mutex> lock(mu_);
   // One job at a time: a second caller thread queues here until the previous
@@ -225,11 +277,15 @@ void ThreadPool::parallel_run(std::size_t begin, std::size_t end, RangeFn fn,
   tls_pool = prev_pool;
   tls_index = prev_index;
 
-  lock.lock();
-  done_cv_.wait(lock, [&] {
-    return job_completed_.load(std::memory_order_acquire) == job_nchunks_ &&
+  // Workers still inside the job may be finishing their last chunk; their
+  // results are usually a few microseconds away, so spin before sleeping.
+  const auto drained = [&] {
+    return job_completed_.load(std::memory_order_acquire) == chunks &&
            job_workers_ == 0;
-  });
+  };
+  spin_until(drained);
+  lock.lock();
+  done_cv_.wait(lock, drained);
   job_active_ = false;
   std::exception_ptr error = std::move(job_error_);
   job_error_ = nullptr;

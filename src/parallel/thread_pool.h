@@ -1,16 +1,26 @@
 // Shared-memory parallel runtime.
 //
 // A fixed-size worker pool with a `parallel_for` front-end, in the spirit of
-// an OpenMP `parallel for` with static chunking. All heavy kernels (GEMM,
+// an OpenMP `parallel for` with `schedule(dynamic)`. All heavy kernels (GEMM,
 // convolution, per-device simulation) funnel through this so that thread
 // count is controlled in exactly one place (`ThreadPool::global()`).
 //
 // Design notes:
 //  * A parallel region is a single "range job" published to the workers: the
-//    chunk partition is computed statically up front and workers claim chunks
-//    through one atomic counter. No per-chunk `std::function` (or any other
-//    per-chunk heap allocation) is ever created — the callable is passed as a
-//    raw function pointer + context pointer.
+//    range is cut into up to `kChunksPerParticipant` contiguous chunks per
+//    participant, and every participant keeps claiming the next unclaimed
+//    chunk through one atomic counter until none are left. Uneven items
+//    (devices whose sub-models differ in cost) therefore balance across the
+//    pool instead of waiting on the slowest static block. No per-chunk
+//    `std::function` (or any other per-chunk heap allocation) is ever
+//    created — the callable is passed as a raw function pointer + context
+//    pointer. Which worker runs which chunk is timing-dependent, so every
+//    body must be partition-invariant (DESIGN.md §11).
+//  * Hand-off: after a region a worker spins on the job sequence for
+//    `kSpinBudget` before it parks on the condition variable, and the caller
+//    spins on chunk completion before it sleeps, so back-to-back regions
+//    (thousands per adaptation step) skip the futex sleep/wake. Job fields
+//    are still published under the pool mutex.
 //  * The caller thread always participates, so a 1-thread pool degenerates to
 //    a serial loop with no synchronisation on the hot path.
 //  * Nested parallelism from inside a worker of the *same* pool runs inline
@@ -30,6 +40,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -179,11 +190,24 @@ class ThreadPool {
     merge(static_cast<const float*>(arena.data()));
   }
 
-  /// Runs fn(ctx, lo, hi) over a static chunking of [begin, end). Blocks
-  /// until all chunks finish. `grain` is the minimum chunk width; ranges no
-  /// wider than one grain (and nested calls from this pool's own workers)
-  /// run inline on the calling thread. If any chunk throws, the rest still
-  /// run and the lowest chunk's exception is rethrown here.
+  /// Upper bound on the chunks a region is cut into, per participant: enough
+  /// slack for a worker that finishes cheap items to pick up more, few
+  /// enough that claiming stays one atomic add per sizeable chunk.
+  static constexpr std::size_t kChunksPerParticipant = 4;
+
+  /// How long an idle participant spins before it blocks: a worker on the
+  /// next job after a region, the caller on the region's completion.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
+  /// Runs fn(ctx, lo, hi) over contiguous chunks of [begin, end), which the
+  /// participants claim dynamically in ascending order. Blocks until all
+  /// chunks finish. Chunks are max(grain, ceil(n / (kChunksPerParticipant *
+  /// size()))) wide, the last one possibly narrower, so a region has at most
+  /// min(ceil(n / grain), kChunksPerParticipant * size()) of them and
+  /// `grain` stays the minimum width. Ranges no wider than one grain (and
+  /// nested calls from this pool's own workers) run inline on the calling
+  /// thread. If any chunk throws, the rest still run and the lowest chunk's
+  /// exception is rethrown here.
   void parallel_run(std::size_t begin, std::size_t end, RangeFn fn, void* ctx,
                     std::size_t grain = 1);
 
@@ -259,19 +283,26 @@ class ThreadPool {
   std::vector<WorkerScratch> scratch_;
 
   // One range job at a time, published through pool members (no heap).
-  std::mutex mu_;
+  // Everything but the chunk counters (job_next_, job_completed_) is written
+  // under mu_. The atomics are also read without it: job_seq_ and stop_ by
+  // spinning workers, job_next_ and job_nchunks_ by a worker checking whether
+  // a new job has chunks left, job_completed_ and job_workers_ by the
+  // spinning caller. Each polled group has a cache line of its own, so lock
+  // traffic and chunk claims do not slow the spinners down.
+  alignas(64) std::atomic<std::uint64_t> job_seq_{0};
+  std::atomic<bool> stop_{false};
+  alignas(64) std::atomic<std::size_t> job_next_{0};
+  alignas(64) std::atomic<std::size_t> job_completed_{0};
+  std::atomic<std::size_t> job_workers_{0};  // workers inside the job
+  alignas(64) std::mutex mu_;
   std::condition_variable cv_;       // wakes workers for a new job / shutdown
   std::condition_variable done_cv_;  // wakes callers waiting for completion
-  bool stop_ = false;
   bool job_active_ = false;          // guarded by mu_
-  std::uint64_t job_seq_ = 0;        // guarded by mu_
-  std::size_t job_workers_ = 0;      // workers currently inside the job
   RangeFn job_fn_ = nullptr;
   void* job_ctx_ = nullptr;
   std::size_t job_begin_ = 0, job_end_ = 0;
-  std::size_t job_chunk_ = 0, job_nchunks_ = 0;
-  std::atomic<std::size_t> job_next_{0};
-  std::atomic<std::size_t> job_completed_{0};
+  std::size_t job_chunk_ = 0;
+  std::atomic<std::size_t> job_nchunks_{0};
   std::exception_ptr job_error_;      // guarded by mu_; lowest throwing chunk
   std::size_t job_error_chunk_ = 0;   // guarded by mu_
 };

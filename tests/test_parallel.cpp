@@ -1,5 +1,6 @@
-// Thread pool, parallel_for, deterministic-reduction and exception-propagation
-// tests. Built into the `parallel`-labelled binary so they also run under TSan.
+// Thread pool, parallel_for, scheduling, deterministic-reduction and
+// exception-propagation tests. Built into the `parallel`-labelled binary so
+// they also run under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +8,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 
 namespace nebula {
@@ -317,7 +321,7 @@ TEST(ThreadPool, ManyConsecutiveRegionsStress) {
   }
 }
 
-// ---- Exceptions thrown inside a parallel region -----------------------------
+// ---- Helpers for multi-thread region tests ----------------------------------
 
 constexpr std::size_t kPoolSizes[] = {1, 2, 4, 7};
 
@@ -367,6 +371,136 @@ class PeerBarrier {
   std::mutex mu_;
   std::set<std::thread::id> threads_;
 };
+
+// ---- Scheduling: dynamic chunk claiming, spin-then-park hand-off -----------
+
+// Every (lo, hi) chunk of one region over [0, n), in ascending order.
+std::vector<std::pair<std::size_t, std::size_t>> region_chunks(
+    ThreadPool& pool, std::size_t n, std::size_t grain) {
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  pool.parallel_for_chunked(
+      0, n,
+      [&](std::size_t lo, std::size_t hi) {
+        std::lock_guard<std::mutex> lock(mu);
+        chunks.emplace_back(lo, hi);
+      },
+      grain);
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
+TEST(ThreadPoolScheduling, CheapItemsAreClaimedPastASlowOne) {
+  // Item 0 may finish only once items 1-9 have. One static block per
+  // participant would put items 1 and 2 behind item 0 in its chunk, so the
+  // wait would time out; with dynamically claimed one-item chunks the other
+  // participants drain them meanwhile (the uneven per-device round legs).
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  std::atomic<bool> saw_all{false};
+  pool.parallel_for(0, 10, [&](std::size_t i) {
+    if (i != 0) {
+      finished++;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (finished.load() < 9 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    saw_all = finished.load() == 9;
+  });
+  EXPECT_TRUE(saw_all.load());
+}
+
+TEST(ThreadPoolScheduling, ChunkWidths) {
+  ThreadPool pool(4);
+  const std::size_t max_chunks =
+      ThreadPool::kChunksPerParticipant * pool.size();
+
+  const auto singles = region_chunks(pool, 10, 1);
+  ASSERT_EQ(singles.size(), 10u);
+  for (std::size_t i = 0; i < singles.size(); ++i) {
+    EXPECT_EQ(singles[i], std::make_pair(i, i + 1));
+  }
+
+  for (std::size_t grain : {std::size_t{1}, std::size_t{8}}) {
+    for (std::size_t n :
+         {std::size_t{17}, std::size_t{100}, std::size_t{1000}}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " grain=" << grain);
+      const auto chunks = region_chunks(pool, n, grain);
+      ASSERT_FALSE(chunks.empty());
+      EXPECT_LE(chunks.size(), max_chunks);
+      EXPECT_LE(chunks.size(), (n + grain - 1) / grain);
+      // Contiguous, complete, and no chunk but the last below one grain.
+      EXPECT_EQ(chunks.front().first, 0u);
+      EXPECT_EQ(chunks.back().second, n);
+      for (std::size_t c = 0; c + 1 < chunks.size(); ++c) {
+        EXPECT_EQ(chunks[c].second, chunks[c + 1].first);
+        EXPECT_GE(chunks[c].second - chunks[c].first, grain);
+      }
+    }
+  }
+  EXPECT_EQ(region_chunks(pool, 1000, 1).size(), max_chunks);
+}
+
+TEST(ThreadPoolScheduling, ParkedWorkersWakeForTheNextRegion) {
+  ThreadPool pool(4);
+  obs::Counter& parks = obs::counter("pool.parks");
+  const std::int64_t parks_before = parks.value();
+  pool.parallel_for(0, 4, [](std::size_t) {});
+  // Idle far past the spin budget: every worker gives up spinning and parks
+  // on the condition variable.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  do {
+    std::this_thread::sleep_for(ThreadPool::kSpinBudget * 20);
+  } while (parks.value() - parks_before < 3 &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_GE(parks.value() - parks_before, 3);
+
+  // The next region must still wake them: the caller holds item 0 until a
+  // second thread has arrived, so a worker has to take part.
+  PeerBarrier barrier(2);
+  std::atomic<bool> saw_worker{false};
+  pool.parallel_for(0, 4, [&](std::size_t) {
+    barrier.arrive();
+    if (ThreadPool::current_worker_index() > 0) saw_worker = true;
+  });
+  EXPECT_TRUE(saw_worker.load());
+}
+
+TEST(ThreadPoolScheduling, DestroyingSpinningPoolSkipsTheBudget) {
+  // Right after a region every worker is spinning on the job sequence; the
+  // destructor must stop them at once instead of letting each spin run out
+  // (which counts a park). A worker preempted past the budget before the
+  // destructor starts parks legitimately, so the claim is that some of
+  // several pools is destroyed without a single park; a spin that ignored the
+  // stop flag would park every worker of every pool.
+  obs::Counter& parks = obs::counter("pool.parks");
+  std::int64_t fewest = std::numeric_limits<std::int64_t>::max();
+  for (int rep = 0; rep < 20; ++rep) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    // A lock-free barrier releases all four threads together, so every
+    // worker starts its spin within microseconds of the destructor.
+    std::atomic<int> arrived{0};
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    pool->parallel_for(0, 4, [&](std::size_t) {
+      arrived++;
+      while (arrived.load() < 4 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+    const std::int64_t before = parks.value();
+    pool.reset();
+    fewest = std::min(fewest, parks.value() - before);
+  }
+  EXPECT_EQ(fewest, 0);
+}
+
+// ---- Exceptions thrown inside a parallel region -----------------------------
 
 TEST(ThreadPoolExceptions, ThrowAtAnyIndexReachesCaller) {
   const std::size_t n = 64;

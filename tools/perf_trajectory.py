@@ -28,7 +28,7 @@ import os
 import subprocess
 import sys
 
-DEFAULT_FILTER = "BM_Gemm|BM_Conv|BM_ModuleLayer"
+DEFAULT_FILTER = "BM_Gemm|BM_Conv|BM_ModuleLayer|BM_Pool"
 
 
 def run_benchmark(bench_bin, bench_filter, min_time):
