@@ -37,25 +37,21 @@ std::vector<std::int64_t> FedAvg::round() {
   // own slot. Slots merge in participant order after the barrier, so the
   // averaged model and ledger are bit-identical to serial execution.
   struct Slot {
-    bool uploaded = false;
     std::vector<float> state;
     double weight = 0.0;
     CommLedger ledger;
   };
   std::vector<Slot> slots(pick.size());
+  std::vector<char> uploaded(pick.size(), 0);
   ThreadPool::global().parallel_for(
       0, pick.size(),
       [&](std::size_t i) {
         Slot& slot = slots[i];
         const std::int64_t k = static_cast<std::int64_t>(pick[i]);
         const DeviceFate fate =
-            faults_ ? faults_->device_fate(round_idx, k) : DeviceFate{};
+            faults_ ? faults_->device_fate(round_idx, k, /*region=*/0)
+                    : DeviceFate{};
         if (fate.dropped) return;
-        const std::int64_t region =
-            static_cast<std::size_t>(k) < regions_.size()
-                ? regions_[static_cast<std::size_t>(k)]
-                : 0;
-        if (faults_ && faults_->regional_outage(round_idx, region)) return;
         slot.ledger.record_download(bytes);
         auto local = global_->clone();
         TrainConfig cfg = cfg_.local;
@@ -64,49 +60,25 @@ std::vector<std::int64_t> FedAvg::round() {
         train_plain(*local, pop_.local_data(k), cfg);
         if (fate.crashes_before_upload) return;
         slot.ledger.record_upload(bytes);
-        std::vector<float> state = get_state(*local);
-        // Undefended baseline: a Byzantine rewrite of the flat state is
-        // averaged straight into the global model.
-        if (faults_ && faults_->is_byzantine(k)) {
-          apply_byzantine_payload(state, faults_->config(),
-                                  faults_->collusion_key(round_idx,
-                                                         /*coord=*/-1));
+        slot.state = get_state(*local);
+        // Undefended baseline: adversary damage is averaged straight into
+        // the global model — no server-side validation exists here.
+        if (faults_) {
+          faults_->damage_flat_upload(round_idx, k, fate, slot.state);
         }
-        if (fate.corruption != CorruptionKind::kNone &&
-            fate.corruption != CorruptionKind::kTruncate) {
-          // FedAvg ships one flat state vector, so a truncated payload
-          // would be unloadable; NaN/zero damage is averaged straight into
-          // the global model — no server-side validation exists in the
-          // baseline.
-          Rng crng = faults_->payload_rng(round_idx, k);
-          FaultInjector::corrupt_payload(state, fate.corruption, crng);
-        }
-        slot.state = std::move(state);
         slot.weight = static_cast<double>(pop_.local_data(k).size());
-        slot.uploaded = true;
+        uploaded[i] = 1;
       },
       /*grain=*/1);
 
   std::vector<std::int64_t> participants;
   std::vector<const Slot*> survivors;
-  // Timeline feed for the comparator baseline (serial merge, like round()).
-  obs::FlightRecorder& rec = obs::recorder();
-  const bool recording = rec.enabled();
   for (std::size_t i = 0; i < pick.size(); ++i) {
     participants.push_back(static_cast<std::int64_t>(pick[i]));
     ledger_.merge(slots[i].ledger);
-    if (slots[i].uploaded) survivors.push_back(&slots[i]);
-    if (recording) {
-      const int dev = static_cast<int>(pick[i]);
-      rec.record_device_event(round_idx, dev, obs::TimelineKind::kSelected,
-                              "fedavg");
-      rec.record_device_event(round_idx, dev,
-                              slots[i].uploaded
-                                  ? obs::TimelineKind::kCompleted
-                                  : obs::TimelineKind::kDropped,
-                              "fedavg");
-    }
+    if (uploaded[i]) survivors.push_back(&slots[i]);
   }
+  obs::recorder().record_participation(round_idx, pick, uploaded, "fedavg");
   if (survivors.empty()) return participants;
 
   double wsum = 0.0;

@@ -48,13 +48,9 @@ class FedAvg {
   /// corrupted uploads are averaged in unvalidated (the paper-baseline
   /// contrast for the fault-sweep experiment). Non-owning; pass nullptr to
   /// detach.
+  /// FedAvg carries no device profiles, so every device sits in region 0
+  /// of the injector's outage draw.
   void set_fault_injector(const FaultInjector* faults) { faults_ = faults; }
-
-  /// Region tags for correlated outages (index = device id). Without them
-  /// every device sits in region 0 of the injector's outage draw.
-  void set_device_regions(std::vector<std::int64_t> regions) {
-    regions_ = std::move(regions);
-  }
 
   Layer& global() { return *global_; }
   CommLedger& ledger() { return ledger_; }
@@ -66,7 +62,6 @@ class FedAvg {
   CommLedger ledger_;
   Rng rng_;
   const FaultInjector* faults_ = nullptr;
-  std::vector<std::int64_t> regions_;
   std::int64_t round_index_ = 0;
 };
 

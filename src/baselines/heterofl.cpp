@@ -80,11 +80,9 @@ std::vector<std::int64_t> HeteroFL::round() {
     const std::int64_t k = static_cast<std::int64_t>(pick[i]);
     participants.push_back(k);
     if (faults_) {
-      fates[i] = faults_->device_fate(round_idx, k);
-      const std::int64_t region = static_cast<std::size_t>(k) < regions_.size()
-                                      ? regions_[static_cast<std::size_t>(k)]
-                                      : 0;
-      if (fates[i].dropped || faults_->regional_outage(round_idx, region)) {
+      fates[i] = faults_->device_fate(round_idx, k,
+                                      regions_[static_cast<std::size_t>(k)]);
+      if (fates[i].dropped) {
         alive[i] = 0;
         continue;
       }
@@ -106,41 +104,17 @@ std::vector<std::int64_t> HeteroFL::round() {
             derive_stream_seed(cfg_.seed, round_idx, k, kHeteroFLTrainSalt);
         train_plain(*subs[i], pop_.local_data(k), cfg);
         if (fates[i].crashes_before_upload) return;
-        // Undefended baseline: Byzantine rewrites and NaN/zero channel
-        // damage land in the upload unvalidated (a truncated nested state
-        // would be unloadable, so that kind is skipped like in FedAvg).
-        if (faults_ && (faults_->is_byzantine(k) ||
-                        (fates[i].corruption != CorruptionKind::kNone &&
-                         fates[i].corruption != CorruptionKind::kTruncate))) {
+        // Undefended baseline: adversary damage lands in the upload
+        // unvalidated; honest devices skip the state round trip.
+        if (faults_ && faults_->damages_flat_upload(k, fates[i])) {
           std::vector<float> state = get_state(*subs[i]);
-          if (faults_->is_byzantine(k)) {
-            apply_byzantine_payload(state, faults_->config(),
-                                    faults_->collusion_key(round_idx,
-                                                           /*coord=*/-1));
-          }
-          if (fates[i].corruption != CorruptionKind::kNone &&
-              fates[i].corruption != CorruptionKind::kTruncate) {
-            Rng crng = faults_->payload_rng(round_idx, k);
-            FaultInjector::corrupt_payload(state, fates[i].corruption, crng);
-          }
+          faults_->damage_flat_upload(round_idx, k, fates[i], state);
           set_state(*subs[i], state);
         }
         uploaded[i] = 1;
       },
       /*grain=*/1);
-  // Timeline feed (serial, post-barrier — same contract as round()).
-  obs::FlightRecorder& rec = obs::recorder();
-  if (rec.enabled()) {
-    for (std::size_t i = 0; i < pick.size(); ++i) {
-      const int dev = static_cast<int>(pick[i]);
-      rec.record_device_event(round_idx, dev, obs::TimelineKind::kSelected,
-                              "heterofl");
-      rec.record_device_event(round_idx, dev,
-                              uploaded[i] ? obs::TimelineKind::kCompleted
-                                          : obs::TimelineKind::kDropped,
-                              "heterofl");
-    }
-  }
+  obs::recorder().record_participation(round_idx, pick, uploaded, "heterofl");
   if (std::find(uploaded.begin(), uploaded.end(), char(1)) == uploaded.end()) {
     return participants;  // every device lost: round leaves the model alone
   }

@@ -61,18 +61,13 @@ double rms_distance(const std::vector<float>& s,
 }
 
 /// Krum winner: the candidate with the smallest sum of squared distances to
-/// its n-f-2 nearest co-candidates (ties break toward the earlier update,
-/// i.e. participant order — deterministic).
-std::size_t krum_winner(const std::vector<const std::vector<float>*>& states,
-                        std::int64_t assumed_byzantine) {
+/// its n-f-2 nearest co-candidates, assuming f = n/4 Byzantine (ties break
+/// toward the earlier update, i.e. participant order — deterministic).
+std::size_t krum_winner(const std::vector<const std::vector<float>*>& states) {
   const std::size_t n = states.size();
   if (n <= 2) return 0;
-  std::int64_t f = assumed_byzantine > 0
-                       ? assumed_byzantine
-                       : static_cast<std::int64_t>(n) / 4;
-  f = std::min<std::int64_t>(f, static_cast<std::int64_t>(n) - 3);
-  const std::size_t neighbors = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(n) - f - 2));
+  // n >= 3 keeps n - n/4 - 2 >= 1 neighbours.
+  const std::size_t neighbors = n - n / 4 - 2;
   // Pairwise squared distances (n is a round's participant count — tiny).
   std::vector<double> dist(n * n, 0.0);
   for (std::size_t a = 0; a < n; ++a) {
@@ -142,8 +137,7 @@ void fold_robust(std::vector<float>& merged,
       return;
     }
     case RobustAggregatorKind::kKrum: {
-      const auto& winner = *states[krum_winner(states,
-                                               robust.krum_assumed_byzantine)];
+      const auto& winner = *states[krum_winner(states)];
       for (std::size_t i = 0; i < merged.size(); ++i) {
         merged[i] += server_mix * winner[i];
       }

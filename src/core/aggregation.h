@@ -74,9 +74,6 @@ struct RobustAggregationConfig {
   /// kTrimmedMean: fraction of candidates removed from *each* tail per
   /// coordinate (floor(trim_fraction · n) values a side).
   double trim_fraction = 0.2;
-  /// kKrum: assumed Byzantine count f — each candidate is scored by the sum
-  /// of squared distances to its n-f-2 nearest co-updates. 0 derives n/4.
-  std::int64_t krum_assumed_byzantine = 0;
   /// Anomaly-score quarantine: updates scoring above this are rejected
   /// before aggregation, under any `kind`. Scores are scale-free distance
   /// ratios (a conforming update scores ~1, a sign-flipped one far more);

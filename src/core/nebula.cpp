@@ -23,6 +23,10 @@ namespace {
 constexpr std::uint64_t kEdgeTrainSalt = 0x10;
 constexpr std::uint64_t kAdaptTrainSalt = 0x11;
 
+// Capped exponential backoff between transfer attempts: base · 2^attempt.
+constexpr double kBackoffBaseS = 0.5;
+constexpr double kBackoffCapS = 4.0;
+
 // One JSONL object per round, written only when a sink is attached
 // (NEBULA_EVENTS=rounds.jsonl or a test capture sink).
 void emit_round_event(const RoundReport& rep) {
@@ -247,8 +251,7 @@ bool NebulaSystem::faulted_transfer(std::int64_t round_idx, std::int64_t k,
     if (a + 1 < attempts) {
       ++slot.transfer_retries;
       const double backoff_s =
-          std::min(policy.backoff_cap_s,
-                   policy.backoff_base_s * static_cast<double>(1 << a));
+          std::min(kBackoffCapS, kBackoffBaseS * static_cast<double>(1 << a));
       slot.wall_s += backoff_s;
       slot.comm_s += backoff_s;
     }
@@ -306,14 +309,11 @@ void NebulaSystem::run_round_device(std::int64_t round_idx,
                                     DeviceRoundSlot& slot) {
   const FaultPolicy& policy = cfg_.fault_policy;
   const std::int64_t k = slot.device;
-  const DeviceFate fate =
-      faults_ ? faults_->device_fate(round_idx, k) : DeviceFate{};
-  if (fate.dropped) {  // never checked in
+  const DeviceFate fate = faults_ ? faults_->device_fate(round_idx, k,
+                                                         profile(k).region)
+                                  : DeviceFate{};
+  if (fate.dropped) {  // never checked in, or its region is down
     slot.outcome = DeviceRoundSlot::Outcome::kDropped;
-    return;
-  }
-  if (faults_ && faults_->regional_outage(round_idx, profile(k).region)) {
-    slot.outcome = DeviceRoundSlot::Outcome::kDropped;  // region down
     return;
   }
 
@@ -476,17 +476,14 @@ RoundReport NebulaSystem::round() {
     rep.device_wall_s.push_back(slot.wall_s);
     rep.device_train_s.push_back(slot.train_s);
     rep.device_comm_s.push_back(slot.comm_s);
-    if (recording) {
-      rec.record_device_event(round_idx, dev, TimelineKind::kSelected);
-      if (slot.transfer_retries > 0) {
-        rec.record_device_event(round_idx, dev, TimelineKind::kRetried,
-                                "nebula",
-                                static_cast<double>(slot.transfer_retries));
-      }
-      if (slot.straggled) {
-        rec.record_device_event(round_idx, dev, TimelineKind::kStraggled,
-                                "nebula", slot.staleness_weight);
-      }
+    rec.record_device_event(round_idx, dev, TimelineKind::kSelected);
+    if (slot.transfer_retries > 0) {
+      rec.record_device_event(round_idx, dev, TimelineKind::kRetried, "nebula",
+                              static_cast<double>(slot.transfer_retries));
+    }
+    if (slot.straggled) {
+      rec.record_device_event(round_idx, dev, TimelineKind::kStraggled,
+                              "nebula", slot.staleness_weight);
     }
     rep.transfer_retries += slot.transfer_retries;
     rep.attempted_bytes += slot.attempted_bytes;
@@ -504,34 +501,14 @@ RoundReport NebulaSystem::round() {
     switch (slot.outcome) {
       case DeviceRoundSlot::Outcome::kDropped:
         rep.dropped.push_back(k);
-        if (recording) {
-          rec.record_device_event(round_idx, dev, TimelineKind::kDropped);
-        }
+        rec.record_device_event(round_idx, dev, TimelineKind::kDropped);
         break;
       case DeviceRoundSlot::Outcome::kCut:
         straggler_cut = true;  // server closed the round without it
         break;
       case DeviceRoundSlot::Outcome::kRejected:
-        rep.rejected.push_back(k);  // quarantined, never touches the cloud
-        if (verdict_is_structural(slot.verdict)) {
-          ++rep.rejected_structural;
-        } else {
-          ++rep.rejected_norm;
-        }
-        emit_quarantine_event(round_idx, k, slot.verdict);
-        if (recording) {
-          rec.record_device_event(round_idx, dev, TimelineKind::kRejected,
-                                  "nebula", 0.0,
-                                  update_verdict_name(slot.verdict));
-        }
-        // A fresh offense (re)starts the clean-round count from zero.
-        if (probation_on) {
-          probation_clean_[static_cast<std::size_t>(k)] = 0;
-          if (recording) {
-            rec.record_device_event(round_idx, dev,
-                                    TimelineKind::kQuarantined);
-          }
-        }
+        // Quarantined, never touches the cloud.
+        reject_update(round_idx, k, slot.verdict, "nebula", rep);
         break;
       case DeviceRoundSlot::Outcome::kCompleted:
         round_wall_s = std::max(round_wall_s, slot.wall_s);
@@ -539,16 +516,11 @@ RoundReport NebulaSystem::round() {
           // Clean round while quarantined: credit it, withhold the update.
           rep.probation.push_back(k);
           auto& clean = probation_clean_[static_cast<std::size_t>(k)];
-          const bool readmitted = ++clean >= policy.probation_clean_rounds;
-          if (recording) {
-            rec.record_device_event(round_idx, dev, TimelineKind::kProbation,
-                                    "nebula", static_cast<double>(clean));
-            if (readmitted) {
-              rec.record_device_event(round_idx, dev,
-                                      TimelineKind::kReadmitted);
-            }
-          }
-          if (readmitted) {
+          ++clean;
+          rec.record_device_event(round_idx, dev, TimelineKind::kProbation,
+                                  "nebula", static_cast<double>(clean));
+          if (clean >= policy.probation_clean_rounds) {
+            rec.record_device_event(round_idx, dev, TimelineKind::kReadmitted);
             clean = -1;  // readmitted from the next round on
           }
         } else {
@@ -562,55 +534,19 @@ RoundReport NebulaSystem::round() {
                         ? std::max(round_wall_s, policy.round_deadline_s)
                         : round_wall_s;
   if (static_cast<std::int64_t>(updates.size()) >=
-          std::max<std::int64_t>(1, policy.min_quorum)) {
-    obs::WallTimer aggregate_timer;
-    AggregationOutcome out;
-    {
-      NEBULA_SPAN("round.aggregate");
-      out = aggregate_module_wise(*cloud_, updates, cfg_.weighting,
-                                  /*server_mix=*/1.0f, policy.robust);
-    }
-    rep.host_phases.aggregate_s += aggregate_timer.elapsed_s();
-    // Every update here already passed validate_update in its device leg.
-    NEBULA_CHECK_MSG(out.invalid.empty(),
-                     "validated update re-rejected at aggregation");
-    rep.aggregated = out.applied;
-    std::vector<char> robust_rejected(updates.size(), 0);
-    for (std::size_t idx : out.robust_rejected) {
-      robust_rejected[idx] = 1;
-      const std::int64_t k = update_devices[idx];
-      rep.rejected.push_back(k);
-      ++rep.rejected_robust;
-      emit_quarantine_event(round_idx, k, UpdateVerdict::kRobustOutlier);
-      if (recording) {
-        rec.record_device_event(
-            round_idx, static_cast<int>(k), TimelineKind::kRejected, "nebula",
-            0.0, update_verdict_name(UpdateVerdict::kRobustOutlier));
-      }
-      if (probation_on) {
-        probation_clean_[static_cast<std::size_t>(k)] = 0;
-        if (recording) {
-          rec.record_device_event(round_idx, static_cast<int>(k),
-                                  TimelineKind::kQuarantined);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < update_devices.size(); ++i) {
-      if (!robust_rejected[i]) rep.completed.push_back(update_devices[i]);
-    }
-    if (policy.robust.active()) rep.robust_scores = out.anomaly_scores;
+      std::max<std::int64_t>(1, policy.min_quorum)) {
+    ingest(round_idx, updates, update_devices, /*server_mix=*/1.0f, "nebula",
+           rep);
   } else {
     // Below quorum nothing was aggregated (or robust-scored); the devices
     // that delivered clean updates still count as completed.
     rep.completed = update_devices;
   }
-  if (recording) {
-    // Completion is only known after the robust gate, so these land after
-    // the per-slot events — still deterministic (participant order).
-    for (std::int64_t k : rep.completed) {
-      rec.record_device_event(round_idx, static_cast<int>(k),
-                              TimelineKind::kCompleted);
-    }
+  // Completion is only known after the robust gate, so these land after
+  // the per-slot events — still deterministic (participant order).
+  for (std::int64_t k : rep.completed) {
+    rec.record_device_event(round_idx, static_cast<int>(k),
+                            TimelineKind::kCompleted);
   }
   rep.goodput_bytes = ledger_.total_bytes() - goodput0;
   rep.overhead_bytes = ledger_.overhead_bytes() - overhead0;
@@ -710,11 +646,76 @@ void NebulaSystem::adapt_device(std::int64_t k, bool query_cloud,
     train_modular(*state.model, *selector_, pop_.local_data(k), edge_cfg);
     return;
   }
-  EdgeUpdate up = train_and_pack(k, *state.model, seed);
-  ledger_.record_upload(up.payload_bytes());
+  std::vector<EdgeUpdate> ups;
+  ups.push_back(train_and_pack(k, *state.model, seed));
+  ledger_.record_upload(ups[0].payload_bytes());
+  // The same server checks as a round's upload, under the adapt path's own
+  // timeline source (continuous uploads have no round participants). The
+  // report only collects the bookkeeping and is discarded.
+  RoundReport rep;
+  const UpdateVerdict verdict =
+      validate_update(*cloud_, ups[0], cfg_.fault_policy.norm_bound_rms);
+  if (verdict != UpdateVerdict::kOk) {
+    reject_update(round_index_, k, verdict, "nebula.adapt", rep);
+    return;
+  }
   // Deliberately online_mix (< 1), unlike round(): a single device's update
   // aggregated at weight 1 would overwrite fleet knowledge (DESIGN.md §5).
-  aggregate_module_wise(*cloud_, {up}, cfg_.weighting, cfg_.online_mix);
+  ingest(round_index_, ups, {k}, cfg_.online_mix, "nebula.adapt", rep);
+}
+
+void NebulaSystem::ingest(std::int64_t round_idx,
+                          const std::vector<EdgeUpdate>& updates,
+                          const std::vector<std::int64_t>& devices,
+                          float server_mix, const char* source,
+                          RoundReport& rep) {
+  const RobustAggregationConfig& robust = cfg_.fault_policy.robust;
+  obs::WallTimer aggregate_timer;
+  AggregationOutcome out;
+  {
+    NEBULA_SPAN("nebula.ingest");
+    out = aggregate_module_wise(*cloud_, updates, cfg_.weighting, server_mix,
+                                robust);
+  }
+  rep.host_phases.aggregate_s += aggregate_timer.elapsed_s();
+  // Every update here already passed validate_update.
+  NEBULA_CHECK_MSG(out.invalid.empty(),
+                   "validated update re-rejected at aggregation");
+  rep.aggregated = out.applied;
+  std::vector<char> robust_rejected(updates.size(), 0);
+  for (std::size_t idx : out.robust_rejected) {
+    robust_rejected[idx] = 1;
+    reject_update(round_idx, devices[idx], UpdateVerdict::kRobustOutlier,
+                  source, rep);
+  }
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    if (!robust_rejected[i]) rep.completed.push_back(devices[i]);
+  }
+  if (robust.active()) rep.robust_scores = out.anomaly_scores;
+}
+
+void NebulaSystem::reject_update(std::int64_t round_idx, std::int64_t k,
+                                 UpdateVerdict verdict, const char* source,
+                                 RoundReport& rep) {
+  rep.rejected.push_back(k);
+  if (verdict == UpdateVerdict::kRobustOutlier) {
+    ++rep.rejected_robust;
+  } else if (verdict_is_structural(verdict)) {
+    ++rep.rejected_structural;
+  } else {
+    ++rep.rejected_norm;
+  }
+  emit_quarantine_event(round_idx, k, verdict);
+  obs::FlightRecorder& rec = obs::recorder();
+  const int dev = static_cast<int>(k);
+  rec.record_device_event(round_idx, dev, obs::TimelineKind::kRejected,
+                          source, 0.0, update_verdict_name(verdict));
+  // A fresh offense (re)starts the clean-round count from zero.
+  if (cfg_.fault_policy.probation_clean_rounds > 0) {
+    probation_clean_[static_cast<std::size_t>(k)] = 0;
+    rec.record_device_event(round_idx, dev, obs::TimelineKind::kQuarantined,
+                            source);
+  }
 }
 
 float NebulaSystem::eval_device(std::int64_t k, std::int64_t test_n) {

@@ -37,10 +37,9 @@ namespace nebula {
 /// arrive damaged, or a deadline/quorum is configured — with no faults the
 /// round is bit-identical to the fair-weather protocol.
 struct FaultPolicy {
-  /// Per-transfer attempts (1 = no retry) with capped exponential backoff.
+  /// Per-transfer attempts (1 = no retry) with capped exponential backoff
+  /// (0.5 s doubling per retry, capped at 4 s).
   int max_transfer_attempts = 3;
-  double backoff_base_s = 0.5;
-  double backoff_cap_s = 4.0;
   /// Round deadline in estimated wall-seconds; devices whose download +
   /// train + upload estimate exceeds it are stragglers. 0 disables.
   double round_deadline_s = 0.0;
@@ -53,10 +52,11 @@ struct FaultPolicy {
   /// RMS bound for server-side update validation (0 disables the norm
   /// check; shape and finiteness checks are always on).
   double norm_bound_rms = 1e3;
-  /// Robust aggregation policy for full rounds (DESIGN.md §13): which
-  /// statistic folds co-updates and whether anomaly scores quarantine
-  /// updates before aggregation. The default is the paper's weighted mean
-  /// and is bit-identical to the pre-robust protocol.
+  /// Robust aggregation policy for every upload the server ingests, round
+  /// or continuous (DESIGN.md §13): which statistic folds co-updates and
+  /// whether anomaly scores quarantine updates before aggregation. The
+  /// default is the paper's weighted mean and is bit-identical to the
+  /// pre-robust protocol.
   RobustAggregationConfig robust;
   /// Quarantine probation: a rejected device keeps participating but its
   /// updates are withheld until it validates cleanly this many consecutive
@@ -204,7 +204,9 @@ class NebulaSystem {
   /// Fine-grained step for continuous-adaptation experiments: refresh device
   /// k's resident sub-model. `query_cloud` re-derives from the cloud
   /// (counted in the ledger); `local_train` updates it on local data;
-  /// `upload` sends the update back and aggregates immediately.
+  /// `upload` sends the update back, where it is validated against the norm
+  /// bound and ingested like a round's uploads, at `online_mix`. A rejected
+  /// upload is quarantined (events, probation) and leaves the cloud alone.
   void adapt_device(std::int64_t k, bool query_cloud, bool local_train,
                     bool upload);
 
@@ -338,6 +340,19 @@ class NebulaSystem {
                         std::int64_t transfer_idx, std::int64_t bytes,
                         const DeviceFate& fate, DeviceRoundSlot& slot);
   void apply_corruption(EdgeUpdate& up, CorruptionKind kind, Rng& rng) const;
+  /// The server's one ingest path, shared by round() and adapt_device():
+  /// aggregates validated `updates` (from `devices`, parallel) at
+  /// `server_mix` under the fault policy's robust statistic and anomaly
+  /// gate. Robust rejections go through reject_update; the rest land in
+  /// `rep.completed`. `source` tags the timeline events.
+  void ingest(std::int64_t round_idx, const std::vector<EdgeUpdate>& updates,
+              const std::vector<std::int64_t>& devices, float server_mix,
+              const char* source, RoundReport& rep);
+  /// Books one rejected upload: reason count, quarantine JSONL event,
+  /// timeline kRejected, and (with probation on) the quarantine reset.
+  void reject_update(std::int64_t round_idx, std::int64_t k,
+                     UpdateVerdict verdict, const char* source,
+                     RoundReport& rep);
   /// Rewrites a Byzantine device's upload in place (sign-flip / scale /
   /// colluding same-direction, per the injector's config). Colluders derive
   /// identical per-payload collusion keys, so their junk agrees exactly.
@@ -363,9 +378,9 @@ class NebulaSystem {
   std::unique_ptr<FaultInjector> faults_;
   std::int64_t round_index_ = 0;
   /// Quarantine state per device: -1 = trusted, >= 0 = quarantined with that
-  /// many consecutive clean validations so far. Only mutated in the serial
-  /// merge of round() (and the quarantine_device hook), never in the
-  /// parallel region.
+  /// many consecutive clean validations so far. Only mutated serially — the
+  /// merge of round(), reject_update, and the quarantine_device hook —
+  /// never in the parallel region.
   std::vector<std::int64_t> probation_clean_;
 };
 

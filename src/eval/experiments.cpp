@@ -273,23 +273,71 @@ AdaptationResult run_adaptation_comparison(TaskEnv& env,
   return res;
 }
 
+namespace {
+
+bool all_finite(const std::vector<float>& v) {
+  for (float x : v) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool model_state_finite(ModularModel& model) {
-  auto finite = [](const std::vector<float>& v) {
-    for (float x : v) {
-      if (!std::isfinite(x)) return false;
-    }
-    return true;
-  };
-  if (!finite(model.shared_state())) return false;
+  if (!all_finite(model.shared_state())) return false;
   for (std::size_t l = 0; l < model.num_module_layers(); ++l) {
     for (std::int64_t gid = 0; gid < model.full_widths()[l]; ++gid) {
-      if (!finite(model.module_state(l, gid))) return false;
+      if (!all_finite(model.module_state(l, gid))) return false;
     }
   }
   return true;
 }
 
 namespace {
+
+/// The two systems every fault/Byzantine/drift sweep compares, built and
+/// pre-trained in a fixed order (FedAvg first, then Nebula's offline stage)
+/// from fixed seed offsets, so each sweep's numbers depend only on `seed`.
+struct FedAvgVsNebula {
+  FedAvg fa;
+  NebulaSystem sys;
+};
+
+FedAvgVsNebula make_fedavg_vs_nebula(TaskEnv& env, const BenchScale& scale,
+                                     std::uint64_t seed,
+                                     const RobustAggregationConfig& robust) {
+  EdgePopulation& pop = *env.population;
+  TrainConfig pre;
+  pre.epochs = scale.pretrain_epochs;
+  pre.lr = env.spec.pretrain_lr;
+  // Braced initialisers run in order: FedAvg is pre-trained before Nebula's
+  // cloud model is built.
+  return FedAvgVsNebula{
+      [&] {
+        init::reseed(seed + 41);
+        FedAvgConfig fc;
+        fc.devices_per_round = scale.devices_per_round;
+        fc.seed = seed + 42;
+        FedAvg fa(env.plain(), pop, fc);
+        fa.pretrain(env.proxy.data, pre);
+        return fa;
+      }(),
+      [&] {
+        ZooOptions zo;
+        zo.init_seed = seed + 43;
+        NebulaConfig nc;
+        nc.devices_per_round = scale.devices_per_round;
+        nc.pretrain.epochs = scale.pretrain_epochs;
+        nc.pretrain.lr = env.spec.pretrain_lr;
+        nc.ability.finetune.lr = env.spec.pretrain_lr;
+        nc.seed = seed + 44;
+        nc.fault_policy.robust = robust;
+        NebulaSystem sys(env.modular(zo), pop, env.profiles, nc);
+        sys.offline(env.proxy);
+        return sys;
+      }()};
+}
 
 /// Shared eval epilogue: serial test draws, parallel pure evals, means.
 void eval_pair(EdgePopulation& pop, const BenchScale& scale, FedAvg& fa,
@@ -332,26 +380,7 @@ FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
   NEBULA_SPAN("experiment.faults");
   obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
-  TrainConfig pre;
-  pre.epochs = scale.pretrain_epochs;
-  pre.lr = env.spec.pretrain_lr;
-  init::reseed(seed + 41);
-  FedAvgConfig fc;
-  fc.devices_per_round = scale.devices_per_round;
-  fc.seed = seed + 42;
-  FedAvg fa(env.plain(), pop, fc);
-  fa.pretrain(env.proxy.data, pre);
-
-  ZooOptions zo;
-  zo.init_seed = seed + 43;
-  NebulaConfig nc;
-  nc.devices_per_round = scale.devices_per_round;
-  nc.pretrain.epochs = scale.pretrain_epochs;
-  nc.pretrain.lr = env.spec.pretrain_lr;
-  nc.ability.finetune.lr = env.spec.pretrain_lr;
-  nc.seed = seed + 44;
-  NebulaSystem sys(env.modular(zo), pop, env.profiles, nc);
-  sys.offline(env.proxy);
+  auto [fa, sys] = make_fedavg_vs_nebula(env, scale, seed, {});
 
   // Identical fault schedule for both systems: same seed, same coordinates.
   FaultInjector fedavg_faults(faults);
@@ -373,12 +402,7 @@ FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
   eval_pair(pop, scale, fa, sys, res.fedavg_acc, res.nebula_acc);
 
   res.nebula_finite = model_state_finite(sys.cloud());
-  for (float x : get_state(fa.global())) {
-    if (!std::isfinite(x)) {
-      res.fedavg_finite = false;
-      break;
-    }
-  }
+  res.fedavg_finite = all_finite(get_state(fa.global()));
   res.nebula_goodput_mb = sys.ledger().total_mb();
   res.nebula_overhead_mb = sys.ledger().overhead_mb();
   obs::gauge("experiment.faults." + metric_token(env.spec.dataset_name) +
@@ -394,28 +418,7 @@ ByzantineSweepResult run_byzantine_comparison(
   NEBULA_SPAN("experiment.byzantine");
   obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
-  TrainConfig pre;
-  pre.epochs = scale.pretrain_epochs;
-  pre.lr = env.spec.pretrain_lr;
-
-  init::reseed(seed + 41);
-  FedAvgConfig fc;
-  fc.devices_per_round = scale.devices_per_round;
-  fc.seed = seed + 42;
-  FedAvg fa(env.plain(), pop, fc);
-  fa.pretrain(env.proxy.data, pre);
-
-  ZooOptions zo;
-  zo.init_seed = seed + 43;
-  NebulaConfig nc;
-  nc.devices_per_round = scale.devices_per_round;
-  nc.pretrain.epochs = scale.pretrain_epochs;
-  nc.pretrain.lr = env.spec.pretrain_lr;
-  nc.ability.finetune.lr = env.spec.pretrain_lr;
-  nc.seed = seed + 44;
-  nc.fault_policy.robust = robust;
-  NebulaSystem sys(env.modular(zo), pop, env.profiles, nc);
-  sys.offline(env.proxy);
+  auto [fa, sys] = make_fedavg_vs_nebula(env, scale, seed, robust);
 
   // Identical adversary schedule for both systems — FedAvg just has no
   // defense against it. With a positive onset round the adversaries attach
@@ -448,12 +451,7 @@ ByzantineSweepResult run_byzantine_comparison(
 
   eval_pair(pop, scale, fa, sys, res.fedavg_acc, res.nebula_acc);
   res.nebula_finite = model_state_finite(sys.cloud());
-  for (float x : get_state(fa.global())) {
-    if (!std::isfinite(x)) {
-      res.fedavg_finite = false;
-      break;
-    }
-  }
+  res.fedavg_finite = all_finite(get_state(fa.global()));
   obs::gauge("experiment.byzantine." + metric_token(env.spec.dataset_name) +
              "." + metric_token(env.spec.partition_name) + "." +
              robust_aggregator_name(robust.kind) + ".wall_s")
@@ -468,27 +466,7 @@ DriftSweepResult run_drift_comparison(TaskEnv& env, const BenchScale& scale,
   NEBULA_SPAN("experiment.drift");
   obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
-  TrainConfig pre;
-  pre.epochs = scale.pretrain_epochs;
-  pre.lr = env.spec.pretrain_lr;
-
-  init::reseed(seed + 41);
-  FedAvgConfig fc;
-  fc.devices_per_round = scale.devices_per_round;
-  fc.seed = seed + 42;
-  FedAvg fa(env.plain(), pop, fc);
-  fa.pretrain(env.proxy.data, pre);
-
-  ZooOptions zo;
-  zo.init_seed = seed + 43;
-  NebulaConfig nc;
-  nc.devices_per_round = scale.devices_per_round;
-  nc.pretrain.epochs = scale.pretrain_epochs;
-  nc.pretrain.lr = env.spec.pretrain_lr;
-  nc.ability.finetune.lr = env.spec.pretrain_lr;
-  nc.seed = seed + 44;
-  NebulaSystem sys(env.modular(zo), pop, env.profiles, nc);
-  sys.offline(env.proxy);
+  auto [fa, sys] = make_fedavg_vs_nebula(env, scale, seed, {});
 
   // Frozen probe test sets, drawn *unconditionally* before the environment
   // starts moving: they represent the pre-drift data distribution, so the

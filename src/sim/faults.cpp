@@ -94,7 +94,8 @@ Rng FaultInjector::stream(std::int64_t round, std::int64_t device,
 }
 
 DeviceFate FaultInjector::device_fate(std::int64_t round,
-                                      std::int64_t device) const {
+                                      std::int64_t device,
+                                      std::int64_t region) const {
   DeviceFate fate;
   if (!enabled()) return fate;
   Rng r = stream(round, device, /*salt=*/0x01);
@@ -108,7 +109,8 @@ DeviceFate FaultInjector::device_fate(std::int64_t round,
   const double u_corrupt = r.uniform();
   const std::uint64_t corrupt_kind = r.next_u64();
 
-  fate.dropped = u_drop < cfg_.dropout_prob;
+  fate.dropped =
+      u_drop < cfg_.dropout_prob || regional_outage(round, region);
   fate.crashes_before_upload = u_crash < cfg_.crash_prob;
   if (u_strag < cfg_.straggler_prob) {
     fate.latency_multiplier =
@@ -176,6 +178,26 @@ double FaultInjector::clock_skew(std::int64_t round,
   Rng r = stream(round, device, /*salt=*/0x07);
   const float s = static_cast<float>(cfg_.clock_skew_s);
   return static_cast<double>(r.uniform(-s, s));
+}
+
+bool FaultInjector::damages_flat_upload(std::int64_t device,
+                                        const DeviceFate& fate) const {
+  return is_byzantine(device) || fate.corruption == CorruptionKind::kNaN ||
+         fate.corruption == CorruptionKind::kZero;
+}
+
+void FaultInjector::damage_flat_upload(std::int64_t round,
+                                       std::int64_t device,
+                                       const DeviceFate& fate,
+                                       std::vector<float>& state) const {
+  if (is_byzantine(device)) {
+    apply_byzantine_payload(state, cfg_, collusion_key(round, /*coord=*/-1));
+  }
+  if (fate.corruption == CorruptionKind::kNaN ||
+      fate.corruption == CorruptionKind::kZero) {
+    Rng crng = payload_rng(round, device);
+    corrupt_payload(state, fate.corruption, crng);
+  }
 }
 
 void apply_byzantine_payload(std::vector<float>& payload,

@@ -96,7 +96,7 @@ struct FaultConfig {
 
 /// What the injector decided for one device in one round.
 struct DeviceFate {
-  bool dropped = false;               // never starts the round
+  bool dropped = false;               // never starts (dropout or region down)
   bool crashes_before_upload = false; // trains, then vanishes
   double latency_multiplier = 1.0;    // >= 1; straggler slowdown
   double bandwidth_factor = 1.0;      // <= 1; degraded link
@@ -111,8 +111,10 @@ class FaultInjector {
   bool enabled() const { return cfg_.any_faults(); }
 
   /// The fate of `device` in `round`. Deterministic per (seed, round,
-  /// device) and independent of query order.
-  DeviceFate device_fate(std::int64_t round, std::int64_t device) const;
+  /// device) and independent of query order. A regional outage of the
+  /// device's `region` drops it like a dropout does.
+  DeviceFate device_fate(std::int64_t round, std::int64_t device,
+                         std::int64_t region) const;
 
   /// Whether transfer number `transfer` (0 = download, 1 = upload, callers
   /// may add more) of `device` in `round` fails on its `attempt`-th try.
@@ -145,6 +147,17 @@ class FaultInjector {
   /// The device's clock error (seconds, in [-clock_skew_s, +clock_skew_s])
   /// for this round. 0 whenever `clock_skew_s` is zero — no draw made.
   double clock_skew(std::int64_t round, std::int64_t device) const;
+
+  /// Whether `damage_flat_upload` would change `device`'s upload: it is
+  /// Byzantine, or its fate carries NaN/zero corruption.
+  bool damages_flat_upload(std::int64_t device, const DeviceFate& fate) const;
+
+  /// The adversary damage an undefended baseline's flat-state upload takes:
+  /// the Byzantine rewrite, then NaN/zero channel corruption. A truncated
+  /// flat state would be unloadable, so truncation is skipped.
+  void damage_flat_upload(std::int64_t round, std::int64_t device,
+                          const DeviceFate& fate,
+                          std::vector<float>& state) const;
 
  private:
   Rng stream(std::int64_t round, std::int64_t device,

@@ -71,9 +71,9 @@ TEST(FaultInjector, FatesAreDeterministicAndOrderIndependent) {
   // Query b in reverse order: fates must still match a's exactly.
   for (std::int64_t r = 0; r < 4; ++r) {
     for (std::int64_t k = 0; k < 20; ++k) {
-      const DeviceFate fa = a.device_fate(r, k);
-      const DeviceFate fb = b.device_fate(3 - r, 19 - k);
-      const DeviceFate fb_same = b.device_fate(r, k);
+      const DeviceFate fa = a.device_fate(r, k, 0);
+      const DeviceFate fb = b.device_fate(3 - r, 19 - k, 0);
+      const DeviceFate fb_same = b.device_fate(r, k, 0);
       EXPECT_EQ(fa.dropped, fb_same.dropped);
       EXPECT_EQ(fa.crashes_before_upload, fb_same.crashes_before_upload);
       EXPECT_DOUBLE_EQ(fa.latency_multiplier, fb_same.latency_multiplier);
@@ -92,7 +92,7 @@ TEST(FaultInjector, FatesVaryAcrossRoundsDevicesAndSeeds) {
   int dropped = 0, total = 0;
   for (std::int64_t r = 0; r < 10; ++r) {
     for (std::int64_t k = 0; k < 10; ++k) {
-      dropped += inj.device_fate(r, k).dropped ? 1 : 0;
+      dropped += inj.device_fate(r, k, 0).dropped ? 1 : 0;
       ++total;
     }
   }
@@ -105,7 +105,8 @@ TEST(FaultInjector, FatesVaryAcrossRoundsDevicesAndSeeds) {
   FaultInjector inj2(other);
   bool any_diff = false;
   for (std::int64_t k = 0; k < 10 && !any_diff; ++k) {
-    any_diff = inj.device_fate(0, k).dropped != inj2.device_fate(0, k).dropped;
+    any_diff =
+        inj.device_fate(0, k, 0).dropped != inj2.device_fate(0, k, 0).dropped;
   }
   EXPECT_TRUE(any_diff) << "different seeds should give different schedules";
 }
@@ -114,7 +115,7 @@ TEST(FaultInjector, ZeroConfigInjectsNothing) {
   FaultInjector inj{FaultConfig{}};
   EXPECT_FALSE(inj.enabled());
   for (std::int64_t k = 0; k < 50; ++k) {
-    const DeviceFate f = inj.device_fate(0, k);
+    const DeviceFate f = inj.device_fate(0, k, 0);
     EXPECT_FALSE(f.dropped);
     EXPECT_FALSE(f.crashes_before_upload);
     EXPECT_DOUBLE_EQ(f.latency_multiplier, 1.0);

@@ -18,9 +18,12 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/fedavg.h"
+#include "baselines/heterofl.h"
 #include "core/model_zoo.h"
 #include "core/nebula.h"
 #include "eval/experiments.h"
@@ -502,6 +505,67 @@ TEST(RecorderIntegration, RoundFeedPopulatesTimelineAndSummaryPercentiles) {
     EXPECT_TRUE(selected) << "device " << dev;
   }
   EXPECT_GT(rec.digest_quantile("train", 0.95), 0.0);
+}
+
+TEST(RecorderIntegration, BaselineRoundsFeedSelectedThenOutcome) {
+  RecorderGuard guard;
+  World w;
+  FaultConfig fc;
+  fc.dropout_prob = 0.4;
+  fc.seed = 47;
+  FaultInjector faults(fc);
+  init::reseed(702);
+  FedAvg fa(make_plain_mlp(32, 6, 1.0), *w.pop, FedAvgConfig{});
+  HeteroFL hfl([](double width) { return make_plain_mlp(32, 6, width); },
+               *w.pop, w.profiles, HeteroFLConfig{});
+  fa.set_fault_injector(&faults);
+  hfl.set_fault_injector(&faults);
+  const auto fa_devs = fa.round();
+  const auto hfl_devs = hfl.round();
+
+  // Per participant and source: exactly kSelected, then kCompleted or
+  // kDropped, in the baseline's round 0.
+  auto check = [](const char* source, const std::vector<std::int64_t>& devs) {
+    std::size_t dropped = 0;
+    for (std::int64_t dev : devs) {
+      std::vector<TimelineKind> kinds;
+      for (const auto& e :
+           obs::recorder().timeline().events_for(static_cast<int>(dev))) {
+        if (std::string(e.source) != source) continue;
+        EXPECT_EQ(e.round, 0);
+        kinds.push_back(e.kind);
+      }
+      ASSERT_EQ(kinds.size(), 2u) << source << " device " << dev;
+      EXPECT_EQ(kinds[0], TimelineKind::kSelected);
+      EXPECT_TRUE(kinds[1] == TimelineKind::kCompleted ||
+                  kinds[1] == TimelineKind::kDropped);
+      dropped += kinds[1] == TimelineKind::kDropped ? 1 : 0;
+    }
+    EXPECT_GT(dropped, 0u) << source << ": no dropout in a 40% dropout round";
+  };
+  check("fedavg", fa_devs);
+  check("heterofl", hfl_devs);
+}
+
+TEST(RecorderIntegration, AdaptRejectionIsTimelinedUnderItsOwnSource) {
+  RecorderGuard guard;
+  World w;
+  NebulaConfig cfg;
+  cfg.fault_policy.norm_bound_rms = 1e-6;  // every real payload exceeds it
+  cfg.fault_policy.probation_clean_rounds = 2;
+  init::reseed(703);
+  NebulaSystem sys = w.make_system(cfg);
+  sys.offline(w.proxy);
+  sys.adapt_device(2, /*query_cloud=*/true, /*local_train=*/true,
+                   /*upload=*/true);
+  // tools/check_trace.py ties every "nebula" event to a round participant;
+  // a continuous upload has no round, so it carries its own source.
+  const auto evs = obs::recorder().timeline().events_for(2);
+  ASSERT_EQ(evs.size(), 2u);
+  EXPECT_EQ(evs[0].kind, TimelineKind::kRejected);
+  EXPECT_STREQ(evs[0].detail, "norm-bound");
+  EXPECT_EQ(evs[1].kind, TimelineKind::kQuarantined);
+  for (const auto& e : evs) EXPECT_STREQ(e.source, "nebula.adapt");
 }
 
 // ---- endpoint ---------------------------------------------------------------

@@ -14,14 +14,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
+
+#include "common/sink.h"
 
 #include "core/aggregation.h"
 #include "core/model_zoo.h"
 #include "core/nebula.h"
 #include "data/partition.h"
 #include "eval/experiments.h"
+#include "obs/events.h"
 #include "sim/device.h"
 #include "sim/faults.h"
 
@@ -335,6 +340,20 @@ TEST(ByzantineFaults, RegionalOutagesAreCorrelatedWithinARegion) {
   }
 }
 
+TEST(ByzantineFaults, DeviceFateDropsDevicesOfADownRegion) {
+  FaultConfig fc;
+  fc.regional_outage_prob = 0.4;
+  fc.seed = 7;
+  FaultInjector inj(fc);
+  // No other fault is on, so a device drops exactly when its region is out.
+  for (std::int64_t r = 0; r < 32; ++r) {
+    for (std::int64_t region = 0; region < 3; ++region) {
+      EXPECT_EQ(inj.device_fate(r, /*device=*/5, region).dropped,
+                inj.regional_outage(r, region));
+    }
+  }
+}
+
 TEST(ByzantineFaults, ClockSkewIsBoundedAndDeterministic) {
   FaultConfig fc;
   fc.clock_skew_s = 2.5;
@@ -591,6 +610,80 @@ TEST(RobustRound, RobustScoresExportedInRoundReport) {
   EXPECT_GT(robust_rejections, 0)
       << "a 30% sign-flip coalition never tripped the anomaly gate";
   EXPECT_TRUE(model_state_finite(sys.cloud()));
+}
+
+// ---- Continuous mode: adapt_device goes through the server ingest path -------
+
+class CaptureSink : public LineSink {
+ public:
+  void write_line(const std::string& line) override {
+    lines.push_back(line);
+  }
+  std::vector<std::string> lines;
+};
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(AdaptIngest, NormBoundRejectsUploadAndQuarantinesDevice) {
+  RobustWorld world;
+  NebulaConfig cfg;
+  cfg.fault_policy.norm_bound_rms = 1e-6;  // every real payload exceeds it
+  cfg.fault_policy.probation_clean_rounds = 2;
+  auto sys = world.make_system(cfg);
+  sys.offline(world.proxy);
+  const auto before = cloud_snapshot(sys);
+  const std::int64_t uploaded_before = sys.ledger().upload_bytes();
+
+  obs::EventLog& log = obs::EventLog::instance();
+  auto capture = std::make_shared<CaptureSink>();
+  log.set_sink(capture);
+  sys.adapt_device(4, /*query_cloud=*/true, /*local_train=*/true,
+                   /*upload=*/true);
+  log.set_sink(nullptr);
+
+  EXPECT_GT(sys.ledger().upload_bytes(), uploaded_before)
+      << "the rejected upload still crossed the link";
+  EXPECT_TRUE(same_bits(cloud_snapshot(sys), before))
+      << "an upload over the norm bound reached the cloud";
+  ASSERT_EQ(capture->lines.size(), 1u);
+  const std::string& ev = capture->lines[0];
+  EXPECT_NE(ev.find("\"type\":\"quarantine\""), std::string::npos) << ev;
+  EXPECT_NE(ev.find("\"device\":4"), std::string::npos) << ev;
+  EXPECT_NE(ev.find("\"verdict\":\"norm-bound\""), std::string::npos) << ev;
+  EXPECT_TRUE(sys.is_quarantined(4));
+}
+
+TEST(AdaptIngest, SingleUploadFoldsIdenticallyUnderEveryRobustStatistic) {
+  // One update is its own median, trimmed mean and Krum winner, and the
+  // anomaly gate needs three carriers to score anything, so a continuous
+  // upload lands on the same cloud bits under every robust policy.
+  auto cloud_after_adapts = [](const RobustAggregationConfig& robust) {
+    RobustWorld world;
+    NebulaConfig cfg;
+    cfg.fault_policy.robust = robust;
+    cfg.fault_policy.probation_clean_rounds = 1;  // a rejection would show
+    auto sys = world.make_system(cfg);
+    sys.offline(world.proxy);
+    for (std::int64_t k : {1, 6, 1}) {
+      sys.adapt_device(k, /*query_cloud=*/true, /*local_train=*/true,
+                       /*upload=*/true);
+      EXPECT_FALSE(sys.is_quarantined(k));
+    }
+    return cloud_snapshot(sys);
+  };
+  const auto mean_bits = cloud_after_adapts({});
+  for (RobustAggregatorKind kind :
+       {RobustAggregatorKind::kMedian, RobustAggregatorKind::kTrimmedMean,
+        RobustAggregatorKind::kKrum}) {
+    RobustAggregationConfig robust;
+    robust.kind = kind;
+    robust.anomaly_threshold = 4.0;
+    EXPECT_TRUE(same_bits(cloud_after_adapts(robust), mean_bits))
+        << robust_aggregator_name(kind);
+  }
 }
 
 // ---- Acceptance: FedAvg collapses, robust Nebula holds -----------------------
