@@ -1,8 +1,6 @@
 #include "baselines/fedavg.h"
 
 #include "nn/state.h"
-#include "obs/recorder.h"
-#include "parallel/thread_pool.h"
 
 namespace nebula {
 
@@ -14,7 +12,7 @@ constexpr std::uint64_t kFedAvgTrainSalt = 0x12;
 
 FedAvg::FedAvg(LayerPtr global_model, EdgePopulation& pop, FedAvgConfig cfg)
     : global_(std::move(global_model)), pop_(pop), cfg_(cfg),
-      rng_(cfg.seed) {
+      driver_(cfg.seed, "fedavg") {
   NEBULA_CHECK(global_ != nullptr);
 }
 
@@ -22,76 +20,63 @@ void FedAvg::pretrain(const Dataset& proxy, const TrainConfig& cfg) {
   train_plain(*global_, proxy, cfg);
 }
 
-std::vector<std::int64_t> FedAvg::round() {
-  const std::int64_t round_idx = round_index_++;
-  const std::int64_t n = pop_.num_devices();
-  const std::int64_t m = std::min(cfg_.devices_per_round, n);
-  auto pick = rng_.choose(static_cast<std::size_t>(n),
-                          static_cast<std::size_t>(m));
-
-  const std::vector<float> global_state = get_state(*global_);
+RoundReport FedAvg::round() {
   const std::int64_t bytes = state_bytes(*global_);
-
-  // Per-device training is independent: seeds and fates are derived per
-  // (round, device), every device trains a private clone and writes only its
-  // own slot. Slots merge in participant order after the barrier, so the
-  // averaged model and ledger are bit-identical to serial execution.
-  struct Slot {
+  struct Slot : RoundSlot {
     std::vector<float> state;
     double weight = 0.0;
-    CommLedger ledger;
   };
-  std::vector<Slot> slots(pick.size());
-  std::vector<char> uploaded(pick.size(), 0);
-  ThreadPool::global().parallel_for(
-      0, pick.size(),
-      [&](std::size_t i) {
-        Slot& slot = slots[i];
-        const std::int64_t k = static_cast<std::int64_t>(pick[i]);
-        const DeviceFate fate =
-            faults_ ? faults_->device_fate(round_idx, k, /*region=*/0)
-                    : DeviceFate{};
-        if (fate.dropped) return;
-        slot.ledger.record_download(bytes);
-        auto local = global_->clone();
-        TrainConfig cfg = cfg_.local;
-        cfg.seed =
-            derive_stream_seed(cfg_.seed, round_idx, k, kFedAvgTrainSalt);
-        train_plain(*local, pop_.local_data(k), cfg);
-        if (fate.crashes_before_upload) return;
-        slot.ledger.record_upload(bytes);
-        slot.state = get_state(*local);
-        // Undefended baseline: adversary damage is averaged straight into
-        // the global model — no server-side validation exists here.
-        if (faults_) {
-          faults_->damage_flat_upload(round_idx, k, fate, slot.state);
-        }
-        slot.weight = static_cast<double>(pop_.local_data(k).size());
-        uploaded[i] = 1;
-      },
-      /*grain=*/1);
-
-  std::vector<std::int64_t> participants;
-  std::vector<const Slot*> survivors;
-  for (std::size_t i = 0; i < pick.size(); ++i) {
-    participants.push_back(static_cast<std::int64_t>(pick[i]));
-    ledger_.merge(slots[i].ledger);
-    if (uploaded[i]) survivors.push_back(&slots[i]);
-  }
-  obs::recorder().record_participation(round_idx, pick, uploaded, "fedavg");
-  if (survivors.empty()) return participants;
-
-  double wsum = 0.0;
-  for (const Slot* s : survivors) wsum += s->weight;
-  std::vector<float> merged(global_state.size(), 0.0f);
-  for (const Slot* s : survivors) {
-    const float w = static_cast<float>(s->weight / wsum);
-    for (std::size_t e = 0; e < merged.size(); ++e) {
-      merged[e] += w * s->state[e];
+  RoundHooks<Slot> hooks;
+  // Every device trains a private clone under a seed derived per (round,
+  // device), so the legs are independent of the worker count.
+  hooks.leg = [&](std::int64_t round_idx, Slot& slot) {
+    const std::int64_t k = slot.device;
+    const DeviceFate fate =
+        faults_ ? faults_->device_fate(round_idx, k, /*region=*/0)
+                : DeviceFate{};
+    if (fate.dropped) {
+      slot.dropped = true;
+      return;
     }
-  }
-  set_state(*global_, merged);
-  return participants;
+    slot.download(bytes);
+    auto local = global_->clone();
+    TrainConfig cfg = cfg_.local;
+    cfg.seed = derive_stream_seed(cfg_.seed, round_idx, k, kFedAvgTrainSalt);
+    train_plain(*local, pop_.local_data(k), cfg);
+    if (fate.crashes_before_upload) {
+      slot.dropped = true;
+      return;
+    }
+    slot.upload(bytes);
+    slot.state = get_state(*local);
+    // Undefended baseline: adversary damage is averaged straight into
+    // the global model — no server-side validation exists here.
+    if (faults_) faults_->damage_flat_upload(round_idx, k, fate, slot.state);
+    slot.weight = static_cast<double>(pop_.local_data(k).size());
+  };
+  // Sample-weighted mean over the survivors, in participant order.
+  hooks.merge = [&](std::vector<Slot>& slots, RoundReport& rep) {
+    double wsum = 0.0;
+    for (const Slot& s : slots) {
+      if (s.dropped) continue;
+      wsum += s.weight;
+      rep.completed.push_back(s.device);
+    }
+    if (rep.completed.empty()) return;  // every device lost
+    std::vector<float> merged(static_cast<std::size_t>(state_size(*global_)),
+                              0.0f);
+    for (const Slot& s : slots) {
+      if (s.dropped) continue;
+      const float w = static_cast<float>(s.weight / wsum);
+      for (std::size_t e = 0; e < merged.size(); ++e) {
+        merged[e] += w * s.state[e];
+      }
+    }
+    set_state(*global_, merged);
+    rep.aggregated = true;
+  };
+  return driver_.run(pop_.num_devices(), cfg_.devices_per_round, ledger_,
+                     hooks);
 }
 
 float FedAvg::eval_device(std::int64_t k, std::int64_t test_n) {

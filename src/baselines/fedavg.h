@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
+#include "core/round_driver.h"
 #include "core/train.h"
 #include "data/partition.h"
 #include "sim/cost_model.h"
@@ -33,8 +33,9 @@ class FedAvg {
   /// Centralised pre-training on the cloud proxy data.
   void pretrain(const Dataset& proxy, const TrainConfig& cfg);
 
-  /// One communication round; returns participating device ids.
-  std::vector<std::int64_t> round();
+  /// One communication round. The report carries participants, completed,
+  /// dropped, the byte columns and whether the global model was updated.
+  RoundReport round();
 
   /// Accuracy of the global model on device k's current task.
   float eval_device(std::int64_t k, std::int64_t test_n = 256);
@@ -60,9 +61,8 @@ class FedAvg {
   EdgePopulation& pop_;
   FedAvgConfig cfg_;
   CommLedger ledger_;
-  Rng rng_;
+  RoundDriver driver_;
   const FaultInjector* faults_ = nullptr;
-  std::int64_t round_index_ = 0;
 };
 
 }  // namespace nebula

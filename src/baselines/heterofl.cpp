@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "nn/state.h"
-#include "obs/recorder.h"
-#include "parallel/thread_pool.h"
 
 namespace nebula {
 
@@ -19,7 +17,7 @@ HeteroFL::HeteroFL(std::function<LayerPtr(double)> factory,
                    const std::vector<DeviceProfile>& profiles,
                    HeteroFLConfig cfg)
     : factory_(std::move(factory)), pop_(pop), cfg_(std::move(cfg)),
-      rng_(cfg_.seed) {
+      driver_(cfg_.seed, "heterofl") {
   NEBULA_CHECK(!cfg_.widths.empty());
   std::vector<double> widths = cfg_.widths;
   std::sort(widths.begin(), widths.end());
@@ -50,7 +48,7 @@ void HeteroFL::pretrain(const Dataset& proxy, const TrainConfig& cfg) {
     for (double w : cfg_.widths) {
       auto tier = factory_(w);
       nested_extract(*global_, *tier);
-      per_pass.seed = rng_.next_u64();
+      per_pass.seed = driver_.rng().next_u64();
       train_plain(*tier, proxy, per_pass);
       NestedAggregator agg(*global_);
       agg.add(*tier, 1.0);
@@ -59,77 +57,65 @@ void HeteroFL::pretrain(const Dataset& proxy, const TrainConfig& cfg) {
   }
 }
 
-std::vector<std::int64_t> HeteroFL::round() {
-  const std::int64_t round_idx = round_index_++;
-  const std::int64_t n = pop_.num_devices();
-  const std::int64_t m = std::min(cfg_.devices_per_round, n);
-  auto pick = rng_.choose(static_cast<std::size_t>(n),
-                          static_cast<std::size_t>(m));
-
+RoundReport HeteroFL::round() {
+  struct Slot : RoundSlot {
+    DeviceFate fate;
+    LayerPtr sub;  // the device's width tier, loaded from the global model
+  };
+  RoundHooks<Slot> hooks;
   // Serial prologue: tier models come from `factory_`, which draws from the
   // process-wide init RNG — constructing them inside the parallel region
   // would race on (and reorder) that stream. The freshly initialised
-  // weights are then fully overwritten by nested_extract. Fates are drawn
-  // here too (pure per (round, device)); dropped or blacked-out devices
-  // never download.
-  std::vector<std::int64_t> participants;
-  std::vector<LayerPtr> subs(pick.size());
-  std::vector<DeviceFate> fates(pick.size());
-  std::vector<char> alive(pick.size(), 1);
-  for (std::size_t i = 0; i < pick.size(); ++i) {
-    const std::int64_t k = static_cast<std::int64_t>(pick[i]);
-    participants.push_back(k);
+  // weights are then fully overwritten by nested_extract. Dropped or
+  // blacked-out devices never download.
+  hooks.prepare = [&](std::int64_t round_idx, Slot& slot) {
+    const auto k = static_cast<std::size_t>(slot.device);
     if (faults_) {
-      fates[i] = faults_->device_fate(round_idx, k,
-                                      regions_[static_cast<std::size_t>(k)]);
-      if (fates[i].dropped) {
-        alive[i] = 0;
-        continue;
+      slot.fate = faults_->device_fate(round_idx, slot.device, regions_[k]);
+      if (slot.fate.dropped) {
+        slot.dropped = true;
+        return;
       }
     }
-    subs[i] = factory_(device_width_[static_cast<std::size_t>(k)]);
-    nested_extract(*global_, *subs[i]);
-    ledger_.record_download(state_bytes(*subs[i]));
-  }
-
+    slot.sub = factory_(device_width_[k]);
+    nested_extract(*global_, *slot.sub);
+    slot.download(state_bytes(*slot.sub));
+  };
   // Parallel local training: private model per slot, derived seeds.
-  std::vector<char> uploaded(pick.size(), 0);
-  ThreadPool::global().parallel_for(
-      0, pick.size(),
-      [&](std::size_t i) {
-        if (!alive[i]) return;
-        const std::int64_t k = static_cast<std::int64_t>(pick[i]);
-        TrainConfig cfg = cfg_.local;
-        cfg.seed =
-            derive_stream_seed(cfg_.seed, round_idx, k, kHeteroFLTrainSalt);
-        train_plain(*subs[i], pop_.local_data(k), cfg);
-        if (fates[i].crashes_before_upload) return;
-        // Undefended baseline: adversary damage lands in the upload
-        // unvalidated; honest devices skip the state round trip.
-        if (faults_ && faults_->damages_flat_upload(k, fates[i])) {
-          std::vector<float> state = get_state(*subs[i]);
-          faults_->damage_flat_upload(round_idx, k, fates[i], state);
-          set_state(*subs[i], state);
-        }
-        uploaded[i] = 1;
-      },
-      /*grain=*/1);
-  obs::recorder().record_participation(round_idx, pick, uploaded, "heterofl");
-  if (std::find(uploaded.begin(), uploaded.end(), char(1)) == uploaded.end()) {
-    return participants;  // every device lost: round leaves the model alone
-  }
-
-  // Ordered epilogue: fold updates in participant order so the aggregator's
-  // float accumulation is identical for any worker count.
-  NestedAggregator agg(*global_);
-  for (std::size_t i = 0; i < pick.size(); ++i) {
-    if (!uploaded[i]) continue;
-    const std::int64_t k = static_cast<std::int64_t>(pick[i]);
-    ledger_.record_upload(state_bytes(*subs[i]));
-    agg.add(*subs[i], static_cast<double>(pop_.local_data(k).size()));
-  }
-  agg.finish(*global_);
-  return participants;
+  hooks.leg = [&](std::int64_t round_idx, Slot& slot) {
+    const std::int64_t k = slot.device;
+    TrainConfig cfg = cfg_.local;
+    cfg.seed = derive_stream_seed(cfg_.seed, round_idx, k, kHeteroFLTrainSalt);
+    train_plain(*slot.sub, pop_.local_data(k), cfg);
+    if (slot.fate.crashes_before_upload) {
+      slot.dropped = true;
+      return;
+    }
+    // Undefended baseline: adversary damage lands in the upload
+    // unvalidated; honest devices skip the state round trip.
+    if (faults_ && faults_->damages_flat_upload(k, slot.fate)) {
+      std::vector<float> state = get_state(*slot.sub);
+      faults_->damage_flat_upload(round_idx, k, slot.fate, state);
+      set_state(*slot.sub, state);
+    }
+    slot.upload(state_bytes(*slot.sub));
+  };
+  // Nested fold over the survivors, in participant order.
+  hooks.merge = [&](std::vector<Slot>& slots, RoundReport& rep) {
+    for (const Slot& s : slots) {
+      if (!s.dropped) rep.completed.push_back(s.device);
+    }
+    if (rep.completed.empty()) return;  // every device lost
+    NestedAggregator agg(*global_);
+    for (const Slot& s : slots) {
+      if (s.dropped) continue;
+      agg.add(*s.sub, static_cast<double>(pop_.local_data(s.device).size()));
+    }
+    agg.finish(*global_);
+    rep.aggregated = true;
+  };
+  return driver_.run(pop_.num_devices(), cfg_.devices_per_round, ledger_,
+                     hooks);
 }
 
 float HeteroFL::eval_device(std::int64_t k, std::int64_t test_n) {

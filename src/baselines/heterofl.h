@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "baselines/nested.h"
-#include "common/rng.h"
+#include "core/round_driver.h"
 #include "core/train.h"
 #include "data/partition.h"
 #include "sim/cost_model.h"
@@ -40,7 +40,9 @@ class HeteroFL {
            const std::vector<DeviceProfile>& profiles, HeteroFLConfig cfg);
 
   void pretrain(const Dataset& proxy, const TrainConfig& cfg);
-  std::vector<std::int64_t> round();
+  /// One communication round. The report carries participants, completed,
+  /// dropped, the byte columns and whether the global model was updated.
+  RoundReport round();
 
   /// Accuracy of device k's width tier extracted from the global model.
   float eval_device(std::int64_t k, std::int64_t test_n = 256);
@@ -80,9 +82,8 @@ class HeteroFL {
   std::vector<LayerPtr> eval_models_;      // per-tier, refresh_eval_models()
   std::vector<std::int64_t> regions_;      // from the construction profiles
   CommLedger ledger_;
-  Rng rng_;
+  RoundDriver driver_;
   const FaultInjector* faults_ = nullptr;
-  std::int64_t round_index_ = 0;
 };
 
 }  // namespace nebula

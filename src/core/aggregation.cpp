@@ -231,10 +231,6 @@ bool verdict_is_structural(UpdateVerdict v) {
          v == UpdateVerdict::kNoSamples;
 }
 
-bool verdict_is_norm(UpdateVerdict v) {
-  return v == UpdateVerdict::kNonFinite || v == UpdateVerdict::kNormBound;
-}
-
 const char* robust_aggregator_name(RobustAggregatorKind k) {
   switch (k) {
     case RobustAggregatorKind::kWeightedMean: return "weighted_mean";

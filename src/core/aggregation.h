@@ -52,7 +52,6 @@ const char* update_verdict_name(UpdateVerdict v);
 /// (shape/sample-count lies), norm verdicts (non-finite or out-of-bound
 /// payloads); kRobustOutlier forms the third bucket on its own.
 bool verdict_is_structural(UpdateVerdict v);
-bool verdict_is_norm(UpdateVerdict v);
 
 /// Which statistic the server folds co-updates of one module with. The
 /// weighted mean is the paper's scheme (and the bit-identical default); the

@@ -51,12 +51,6 @@ std::array<double, kResourceDims> SubmodelDerivation::budget_fraction(
   return out;
 }
 
-std::array<double, kResourceDims> SubmodelDerivation::budget_fraction_of_union(
-    double fraction) const {
-  NEBULA_CHECK(fraction > 0.0);
-  return {full_[0] * fraction, full_[1] * fraction, full_[2] * fraction};
-}
-
 DerivationResult SubmodelDerivation::derive(
     const DerivationRequest& request) const {
   NEBULA_CHECK_MSG(request.importance.size() == costs_.size(),

@@ -49,11 +49,6 @@ class SubmodelDerivation {
   /// (N-times larger) union of all substitute modules.
   std::array<double, kResourceDims> budget_fraction(double fraction) const;
 
-  /// Same, but relative to the union of every module (the whole cloud
-  /// model). Used by granularity experiments.
-  std::array<double, kResourceDims> budget_fraction_of_union(
-      double fraction) const;
-
   const ModuleCost& shared_cost() const { return shared_; }
   std::array<double, kResourceDims> full_cost() const { return full_; }
   std::array<double, kResourceDims> reference_cost() const {

@@ -47,8 +47,6 @@ class EdgeRuntime {
   /// the selected plan index.
   std::size_t select_plan(double deadline_ms, const RuntimeMonitor& runtime);
 
-  std::size_t active_plan() const { return active_; }
-
   /// Estimated latency of the active plan under the given contention.
   double active_latency_ms(const RuntimeMonitor& runtime) const;
 

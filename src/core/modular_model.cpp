@@ -189,11 +189,6 @@ std::size_t ModularModel::local_index(std::size_t l,
   return 0;
 }
 
-bool ModularModel::has_module(std::size_t l, std::int64_t global_id) const {
-  const auto& ids = layers_.at(l)->global_ids();
-  return std::find(ids.begin(), ids.end(), global_id) != ids.end();
-}
-
 std::vector<float> ModularModel::module_state(std::size_t l,
                                               std::int64_t global_id) {
   return get_state(layers_.at(l)->module(local_index(l, global_id)));

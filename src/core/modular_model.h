@@ -96,7 +96,6 @@ class ModularModel {
   std::vector<float> module_state(std::size_t l, std::int64_t global_id);
   void set_module_state(std::size_t l, std::int64_t global_id,
                         const std::vector<float>& state);
-  bool has_module(std::size_t l, std::int64_t global_id) const;
 
   /// Per-module resource costs (cloud model only: requires all modules).
   /// Indexed [layer][global_id].

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "nn/serialize.h"
 #include "obs/events.h"
@@ -11,7 +10,6 @@
 #include "obs/recorder.h"
 #include "obs/routing.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 
 namespace nebula {
 
@@ -83,35 +81,7 @@ void emit_quarantine_event(std::int64_t round_idx, std::int64_t device,
   log.emit(w.str());
 }
 
-/// Exact percentile of a small sample (nearest-rank with interpolation);
-/// round reports hold at most devices_per_round values, so sorting a copy
-/// beats carrying digest state in every report.
-double sample_quantile(std::vector<double> vs, double q) {
-  if (vs.empty()) return 0.0;
-  std::sort(vs.begin(), vs.end());
-  const double pos = q * static_cast<double>(vs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, vs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return vs[lo] + (vs[hi] - vs[lo]) * frac;
-}
-
 }  // namespace
-
-std::string RoundReport::summary() const {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof(buf),
-      "round %lld: %zu/%zu completed (%zu dropped, %zu straggled, "
-      "%zu rejected, %lld retries) wall %.2fs (dev p50 %.2f p95 %.2f) "
-      "entropy %.2f %s",
-      static_cast<long long>(round_index), completed.size(),
-      participants.size(), dropped.size(), straggled.size(), rejected.size(),
-      static_cast<long long>(transfer_retries), wall_time_s,
-      sample_quantile(device_wall_s, 0.5), sample_quantile(device_wall_s, 0.95),
-      routing_entropy, aggregated ? "aggregated" : "no-quorum");
-  return buf;
-}
 
 NebulaSystem::NebulaSystem(ZooModel cloud, EdgePopulation& pop,
                            std::vector<DeviceProfile> profiles,
@@ -121,7 +91,7 @@ NebulaSystem::NebulaSystem(ZooModel cloud, EdgePopulation& pop,
       pop_(pop),
       profiles_(std::move(profiles)),
       cfg_(cfg),
-      rng_(cfg.seed) {
+      driver_(cfg.seed, "nebula") {
   NEBULA_CHECK(cloud_ != nullptr && selector_ != nullptr);
   NEBULA_CHECK_MSG(static_cast<std::int64_t>(profiles_.size()) ==
                        pop_.num_devices(),
@@ -313,7 +283,7 @@ void NebulaSystem::run_round_device(std::int64_t round_idx,
                                                          profile(k).region)
                                   : DeviceFate{};
   if (fate.dropped) {  // never checked in, or its region is down
-    slot.outcome = DeviceRoundSlot::Outcome::kDropped;
+    slot.dropped = true;
     return;
   }
 
@@ -336,7 +306,7 @@ void NebulaSystem::run_round_device(std::int64_t round_idx,
   const std::int64_t dl_bytes = download_bytes(der.spec, k);
   if (!faulted_transfer(round_idx, k, /*transfer_idx=*/0, dl_bytes, fate,
                         slot)) {
-    slot.outcome = DeviceRoundSlot::Outcome::kDropped;  // dead link
+    slot.dropped = true;  // dead link
     return;
   }
   slot.ledger.record_download(dl_bytes);
@@ -367,7 +337,7 @@ void NebulaSystem::run_round_device(std::int64_t round_idx,
   state.model = std::move(submodel);
 
   if (fate.crashes_before_upload) {
-    slot.outcome = DeviceRoundSlot::Outcome::kDropped;
+    slot.dropped = true;
     return;
   }
   // A Byzantine device trains honestly (its resident model stays useful to
@@ -381,7 +351,7 @@ void NebulaSystem::run_round_device(std::int64_t round_idx,
   }
   if (!faulted_transfer(round_idx, k, /*transfer_idx=*/1, up.payload_bytes(),
                         fate, slot)) {
-    slot.outcome = DeviceRoundSlot::Outcome::kDropped;  // upload lost
+    slot.dropped = true;  // upload lost
     return;
   }
   slot.ledger.record_upload(up.payload_bytes());
@@ -427,56 +397,31 @@ void NebulaSystem::run_round_device(std::int64_t round_idx,
 
 RoundReport NebulaSystem::round() {
   NEBULA_SPAN("nebula.round");
-  const std::int64_t round_idx = round_index_++;
   const FaultPolicy& policy = cfg_.fault_policy;
-  RoundReport rep;
-  rep.round_index = round_idx;
-  obs::WallTimer round_timer;
-  // Ledger snapshot; the report carries this round's deltas.
-  const std::int64_t goodput0 = ledger_.total_bytes();
-  const std::int64_t overhead0 = ledger_.overhead_bytes();
-  const std::int64_t n = pop_.num_devices();
-  const std::int64_t m = std::min(cfg_.devices_per_round, n);
-  auto pick = rng_.choose(static_cast<std::size_t>(n),
-                          static_cast<std::size_t>(m));
-
-  // The per-device leg is embarrassingly parallel: fates and training seeds
-  // are derived per (round, device), and each device touches only its own
-  // slot plus its own entries of edge_states_ / selector_cached_. A throw in
-  // any leg reaches this thread through the pool, lowest participant first.
-  std::vector<DeviceRoundSlot> slots(pick.size());
-  for (std::size_t i = 0; i < pick.size(); ++i) {
-    slots[i].device = static_cast<std::int64_t>(pick[i]);
-  }
-  ThreadPool::global().parallel_for(
-      0, slots.size(),
-      [&](std::size_t i) { run_round_device(round_idx, slots[i]); },
-      /*grain=*/1);
-
-  // Ordered merge: bit-identical whatever the worker count, because every
-  // slot was computed by the same per-device code path and is folded in
-  // participant order here (float accumulation order included).
+  const bool probation_on = policy.probation_clean_rounds > 0;
   std::vector<EdgeUpdate> updates;
   std::vector<std::int64_t> update_devices;  // parallel to `updates`
   double round_wall_s = 0.0;
   bool straggler_cut = false;
   double entropy_sum = 0.0, imbalance_sum = 0.0;
   std::int64_t routing_samples = 0;
-  const bool probation_on = policy.probation_clean_rounds > 0;
-  // Flight recorder feed happens entirely in this serial merge: recording
-  // draws no randomness and never reorders the fold, so enabling it is
-  // bit-identity-neutral (pinned by test_flight_recorder.cpp).
   obs::FlightRecorder& rec = obs::recorder();
-  const bool recording = rec.enabled();
   using obs::TimelineKind;
-  for (auto& slot : slots) {
+
+  RoundHooks<DeviceRoundSlot> hooks;
+  // Fates and training seeds are derived per (round, device), and each leg
+  // touches only its own slot plus its own entries of edge_states_ /
+  // selector_cached_.
+  hooks.leg = [&](std::int64_t round_idx, DeviceRoundSlot& slot) {
+    run_round_device(round_idx, slot);
+  };
+  hooks.fold = [&](DeviceRoundSlot& slot, RoundReport& rep) {
+    const std::int64_t round_idx = rep.round_index;
     const std::int64_t k = slot.device;
     const int dev = static_cast<int>(k);
-    rep.participants.push_back(k);
     rep.device_wall_s.push_back(slot.wall_s);
     rep.device_train_s.push_back(slot.train_s);
     rep.device_comm_s.push_back(slot.comm_s);
-    rec.record_device_event(round_idx, dev, TimelineKind::kSelected);
     if (slot.transfer_retries > 0) {
       rec.record_device_event(round_idx, dev, TimelineKind::kRetried, "nebula",
                               static_cast<double>(slot.transfer_retries));
@@ -486,8 +431,6 @@ RoundReport NebulaSystem::round() {
                               "nebula", slot.staleness_weight);
     }
     rep.transfer_retries += slot.transfer_retries;
-    rep.attempted_bytes += slot.attempted_bytes;
-    ledger_.merge(slot.ledger);
     rep.host_phases.derive_s += slot.phases.derive_s;
     rep.host_phases.train_s += slot.phases.train_s;
     rep.host_phases.validate_s += slot.phases.validate_s;
@@ -498,11 +441,8 @@ RoundReport NebulaSystem::round() {
       rep.straggled.push_back(k);
       rep.staleness_weights.push_back(slot.staleness_weight);
     }
+    if (slot.dropped) return;  // the driver books it
     switch (slot.outcome) {
-      case DeviceRoundSlot::Outcome::kDropped:
-        rep.dropped.push_back(k);
-        rec.record_device_event(round_idx, dev, TimelineKind::kDropped);
-        break;
       case DeviceRoundSlot::Outcome::kCut:
         straggler_cut = true;  // server closed the round without it
         break;
@@ -529,40 +469,28 @@ RoundReport NebulaSystem::round() {
         }
         break;
     }
-  }
-  rep.wall_time_s = straggler_cut
-                        ? std::max(round_wall_s, policy.round_deadline_s)
-                        : round_wall_s;
-  if (static_cast<std::int64_t>(updates.size()) >=
-      std::max<std::int64_t>(1, policy.min_quorum)) {
-    ingest(round_idx, updates, update_devices, /*server_mix=*/1.0f, "nebula",
-           rep);
-  } else {
-    // Below quorum nothing was aggregated (or robust-scored); the devices
-    // that delivered clean updates still count as completed.
-    rep.completed = update_devices;
-  }
-  // Completion is only known after the robust gate, so these land after
-  // the per-slot events — still deterministic (participant order).
-  for (std::int64_t k : rep.completed) {
-    rec.record_device_event(round_idx, static_cast<int>(k),
-                            TimelineKind::kCompleted);
-  }
-  rep.goodput_bytes = ledger_.total_bytes() - goodput0;
-  rep.overhead_bytes = ledger_.overhead_bytes() - overhead0;
-  // Conservation: every byte any attempt put on the wire landed in exactly
-  // one of the ledger's goodput or overhead columns.
-  NEBULA_CHECK_MSG(
-      rep.attempted_bytes == rep.goodput_bytes + rep.overhead_bytes,
-      "round " << round_idx << " traffic accounting leak: attempted "
-               << rep.attempted_bytes << " != goodput " << rep.goodput_bytes
-               << " + overhead " << rep.overhead_bytes);
-  if (routing_samples > 0) {
-    rep.routing_entropy = entropy_sum / static_cast<double>(routing_samples);
-    rep.routing_imbalance =
-        imbalance_sum / static_cast<double>(routing_samples);
-  }
-  rep.host_phases.total_s = round_timer.elapsed_s();
+  };
+  hooks.merge = [&](std::vector<DeviceRoundSlot>&, RoundReport& rep) {
+    rep.wall_time_s = straggler_cut
+                          ? std::max(round_wall_s, policy.round_deadline_s)
+                          : round_wall_s;
+    if (static_cast<std::int64_t>(updates.size()) >=
+        std::max<std::int64_t>(1, policy.min_quorum)) {
+      ingest(rep.round_index, updates, update_devices, /*server_mix=*/1.0f,
+             "nebula", rep);
+    } else {
+      // Below quorum nothing was aggregated (or robust-scored); the devices
+      // that delivered clean updates still count as completed.
+      rep.completed = update_devices;
+    }
+    if (routing_samples > 0) {
+      rep.routing_entropy = entropy_sum / static_cast<double>(routing_samples);
+      rep.routing_imbalance =
+          imbalance_sum / static_cast<double>(routing_samples);
+    }
+  };
+  RoundReport rep = driver_.run(pop_.num_devices(), cfg_.devices_per_round,
+                                ledger_, hooks);
 
   static obs::Counter& m_rounds = obs::counter("round.count");
   static obs::Counter& m_completed = obs::counter("round.completed");
@@ -585,7 +513,7 @@ RoundReport NebulaSystem::round() {
   static obs::Gauge& m_imbalance = obs::gauge("round.routing_imbalance");
   m_entropy.set(rep.routing_entropy);
   m_imbalance.set(rep.routing_imbalance);
-  if (recording) {
+  if (rec.enabled()) {
     obs::RoundSample s;
     s.round = rep.round_index;
     s.participants = static_cast<std::int64_t>(rep.participants.size());
@@ -636,7 +564,7 @@ void NebulaSystem::adapt_device(std::int64_t k, bool query_cloud,
   }
   if (!local_train) return;
   // Per-(call, device) derived stream instead of a draw from the shared
-  // rng_: device A's adaptation history never shifts device B's seeds.
+  // pick stream: device A's adaptation history never shifts device B's seeds.
   const std::uint64_t seed = derive_stream_seed(
       cfg_.seed, adapt_counts_[static_cast<std::size_t>(k)]++, k,
       kAdaptTrainSalt);
@@ -656,12 +584,12 @@ void NebulaSystem::adapt_device(std::int64_t k, bool query_cloud,
   const UpdateVerdict verdict =
       validate_update(*cloud_, ups[0], cfg_.fault_policy.norm_bound_rms);
   if (verdict != UpdateVerdict::kOk) {
-    reject_update(round_index_, k, verdict, "nebula.adapt", rep);
+    reject_update(driver_.next_round(), k, verdict, "nebula.adapt", rep);
     return;
   }
   // Deliberately online_mix (< 1), unlike round(): a single device's update
   // aggregated at weight 1 would overwrite fleet knowledge (DESIGN.md §5).
-  ingest(round_index_, ups, {k}, cfg_.online_mix, "nebula.adapt", rep);
+  ingest(driver_.next_round(), ups, {k}, cfg_.online_mix, "nebula.adapt", rep);
 }
 
 void NebulaSystem::ingest(std::int64_t round_idx,

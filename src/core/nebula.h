@@ -24,6 +24,7 @@
 #include "core/aggregation.h"
 #include "core/derivation.h"
 #include "core/model_zoo.h"
+#include "core/round_driver.h"
 #include "core/train.h"
 #include "data/partition.h"
 #include "sim/cost_model.h"
@@ -63,72 +64,6 @@ struct FaultPolicy {
   /// rounds, after which it is readmitted. 0 keeps the legacy behaviour
   /// (rejection is per-round only, no quarantine state).
   int probation_clean_rounds = 0;
-};
-
-/// Host wall-clock seconds spent in each phase of one round (measured on the
-/// coordinating process, not the simulated device clock).
-struct RoundPhaseTimes {
-  double derive_s = 0.0;     // importance scoring + knapsack derivation
-  double train_s = 0.0;      // local training + update packing
-  double validate_s = 0.0;   // server-side update validation
-  double aggregate_s = 0.0;  // module-wise aggregation
-  double total_s = 0.0;      // whole round() call
-};
-
-/// What happened in one collaborative round. Devices appear in exactly one
-/// of completed / dropped / rejected; `straggled` additionally lists devices
-/// that missed the deadline (kept down-weighted when the staleness policy
-/// allows, otherwise counted only here).
-struct RoundReport {
-  std::int64_t round_index = 0;            // monotonic across the system
-  std::vector<std::int64_t> participants;  // sampled this round
-  std::vector<std::int64_t> completed;     // update aggregated into the cloud
-  std::vector<std::int64_t> dropped;       // dropout, crash, or dead link
-  std::vector<std::int64_t> straggled;     // estimate exceeded the deadline
-  std::vector<std::int64_t> rejected;      // quarantined by validation
-  /// Quarantined devices on probation this round: they participated and
-  /// validated, but their updates were withheld from aggregation while they
-  /// re-earn trust (FaultPolicy::probation_clean_rounds).
-  std::vector<std::int64_t> probation;
-  /// Per-reason split of `rejected`: structural verdicts (shape/sample-count
-  /// lies), norm verdicts (non-finite / out-of-bound payloads), and
-  /// robust-score rejections at aggregation time. Sums to rejected.size().
-  std::int64_t rejected_structural = 0;
-  std::int64_t rejected_norm = 0;
-  std::int64_t rejected_robust = 0;
-  /// Anomaly scores of the updates that reached aggregation (completed +
-  /// robust-rejected devices, in participant order). Empty when the quorum
-  /// was unmet or robust aggregation is inactive.
-  std::vector<double> robust_scores;
-  std::int64_t transfer_retries = 0;       // failed attempts that were retried
-  /// Staleness weight applied to each straggler that was kept (parallel to
-  /// `straggled`; 0 when the update was discarded).
-  std::vector<double> staleness_weights;
-  /// Simulated per-device latencies, parallel to `participants` (0 for
-  /// devices that dropped before doing any work). wall = train + comm;
-  /// `comm` includes retry backoff. These feed the flight recorder's
-  /// latency quantile digests (DESIGN.md §14) and summary() percentiles.
-  std::vector<double> device_wall_s;
-  std::vector<double> device_train_s;
-  std::vector<double> device_comm_s;
-  /// This round's CommLedger deltas. `attempted_bytes` is accumulated
-  /// independently, one add per transfer attempt, and round() checks
-  /// attempted == goodput + overhead — a genuine two-path conservation
-  /// check on the traffic accounting.
-  std::int64_t goodput_bytes = 0;
-  std::int64_t overhead_bytes = 0;
-  std::int64_t attempted_bytes = 0;
-  /// Selector routing over this round's derivations (soft view, averaged
-  /// over participants and layers): normalized entropy in [0,1] (1 =
-  /// uniform) and peak-to-mean imbalance in [1,N].
-  double routing_entropy = 0.0;
-  double routing_imbalance = 1.0;
-  RoundPhaseTimes host_phases;  // measured host time, not simulated time
-  double wall_time_s = 0.0;  // estimated round wall time (slowest survivor)
-  bool aggregated = false;   // quorum met and the cloud model was updated
-
-  /// One-line human-readable digest for CLI / bench output.
-  std::string summary() const;
 };
 
 struct NebulaConfig {
@@ -248,7 +183,6 @@ class NebulaSystem {
   /// Attaches a fault injector built from `cfg`; subsequent rounds draw
   /// device fates from it. Replaces any previous injector.
   void inject_faults(const FaultConfig& cfg);
-  void clear_faults() { faults_.reset(); }
   const FaultInjector* faults() const { return faults_.get(); }
 
   /// Whether device k is currently quarantined (on probation — its updates
@@ -296,13 +230,13 @@ class NebulaSystem {
 
   /// Per-participant working state for one round. Inside the parallel
   /// region each device writes only its own slot (plus its own entries of
-  /// edge_states_ / selector_cached_); round() merges slots in participant
-  /// order after the barrier, which is what keeps the report, the ledger
-  /// and the aggregation order bit-identical to serial execution.
-  struct DeviceRoundSlot {
-    enum class Outcome { kDropped, kCut, kRejected, kCompleted };
-    std::int64_t device = -1;
-    Outcome outcome = Outcome::kDropped;
+  /// edge_states_ / selector_cached_); the round driver folds slots in
+  /// participant order after the barrier, which is what keeps the report,
+  /// the ledger and the aggregation order bit-identical to serial execution.
+  /// `outcome` is meaningful only when the slot was not dropped.
+  struct DeviceRoundSlot : RoundSlot {
+    enum class Outcome { kCut, kRejected, kCompleted };
+    Outcome outcome = Outcome::kCompleted;
     bool straggled = false;
     double staleness_weight = 0.0;    // 0 when the update was discarded
     UpdateVerdict verdict = UpdateVerdict::kOk;
@@ -311,8 +245,6 @@ class NebulaSystem {
     double train_s = 0.0;             // simulated local-training time
     double comm_s = 0.0;              // simulated transfer + backoff time
     std::int64_t transfer_retries = 0;
-    std::int64_t attempted_bytes = 0;
-    CommLedger ledger;                // this device's traffic delta
     double entropy_sum = 0.0;
     double imbalance_sum = 0.0;
     std::int64_t routing_samples = 0;
@@ -373,10 +305,9 @@ class NebulaSystem {
   /// adapt_device's derived training seeds (independent across devices).
   std::vector<std::int64_t> adapt_counts_;
   CommLedger ledger_;
-  Rng rng_;
+  RoundDriver driver_;
   double cap_max_ = 1.0;
   std::unique_ptr<FaultInjector> faults_;
-  std::int64_t round_index_ = 0;
   /// Quarantine state per device: -1 = trusted, >= 0 = quarantined with that
   /// many consecutive clean validations so far. Only mutated serially — the
   /// merge of round(), reject_update, and the quarantine_device hook —

@@ -153,22 +153,6 @@ Dataset EdgePopulation::device_test(std::int64_t device, std::int64_t n) {
   return draw_task_data(full, n);
 }
 
-Dataset EdgePopulation::global_test(std::int64_t n) {
-  return gen_.sample(n, rng_).data;
-}
-
-Dataset EdgePopulation::context_test(std::int64_t ctx, std::int64_t n) {
-  DeviceTask t;
-  t.context = ctx;
-  if (cfg_.classes_per_device > 0) {
-    t.classes = context_classes_[static_cast<std::size_t>(ctx)];
-    t.subject = -1;
-  } else {
-    t.subject = ctx;
-  }
-  return draw_task_data(t, n);
-}
-
 bool EdgePopulation::shift(std::int64_t device) {
   NEBULA_CHECK(device >= 0 && device < cfg_.num_devices);
   bool switched = false;

@@ -103,12 +103,6 @@ class EdgePopulation {
   /// model faces right now (used by the time-slot experiments).
   Dataset device_view_test(std::int64_t device, std::int64_t n);
 
-  /// Fresh held-out samples over the global task.
-  Dataset global_test(std::int64_t n);
-
-  /// Fresh held-out samples for one context's sub-task.
-  Dataset context_test(std::int64_t ctx, std::int64_t n);
-
   /// Applies one environment step to a device: maybe switch context, then
   /// replace `shift_fraction` of its local data with fresh task samples.
   /// Returns true if the device changed context.

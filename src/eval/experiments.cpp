@@ -5,7 +5,6 @@
 
 #include "nn/init.h"
 #include "nn/state.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -123,20 +122,10 @@ TaskEnv make_task_env(const TaskSpec& spec, const BenchScale& scale,
   return env;
 }
 
-// Task/partition names become metric-name segments ("1 subject" etc.), so
-// keep them token-shaped for grep/Prometheus-style tooling.
-static std::string metric_token(std::string s) {
-  for (char& c : s) {
-    if (c == ' ' || c == '/') c = '_';
-  }
-  return s;
-}
-
 AdaptationResult run_adaptation_comparison(TaskEnv& env,
                                            const BenchScale& scale,
                                            std::uint64_t seed) {
   NEBULA_SPAN("experiment.adaptation");
-  obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
   TrainConfig pre;
   pre.epochs = scale.pretrain_epochs;
@@ -265,11 +254,6 @@ AdaptationResult run_adaptation_comparison(TaskEnv& env,
   res.comm_mb_fa = fa.ledger().total_mb();
   res.comm_mb_hfl = hfl.ledger().total_mb();
   res.comm_mb_nebula = nebula.ledger().total_mb();
-  // Per-figure wall time: the perf-trajectory harness snapshots gauges with
-  // this prefix into BENCH_experiments.json.
-  obs::gauge("experiment.adaptation." + metric_token(env.spec.dataset_name) +
-             "." + metric_token(env.spec.partition_name) + ".wall_s")
-      .set(wall.elapsed_s());
   return res;
 }
 
@@ -378,7 +362,6 @@ FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
                                       const FaultConfig& faults,
                                       std::uint64_t seed) {
   NEBULA_SPAN("experiment.faults");
-  obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
   auto [fa, sys] = make_fedavg_vs_nebula(env, scale, seed, {});
 
@@ -405,9 +388,6 @@ FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
   res.fedavg_finite = all_finite(get_state(fa.global()));
   res.nebula_goodput_mb = sys.ledger().total_mb();
   res.nebula_overhead_mb = sys.ledger().overhead_mb();
-  obs::gauge("experiment.faults." + metric_token(env.spec.dataset_name) +
-             "." + metric_token(env.spec.partition_name) + ".wall_s")
-      .set(wall.elapsed_s());
   return res;
 }
 
@@ -416,7 +396,6 @@ ByzantineSweepResult run_byzantine_comparison(
     const RobustAggregationConfig& robust, std::uint64_t seed,
     std::int64_t attack_onset_round) {
   NEBULA_SPAN("experiment.byzantine");
-  obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
   auto [fa, sys] = make_fedavg_vs_nebula(env, scale, seed, robust);
 
@@ -452,10 +431,6 @@ ByzantineSweepResult run_byzantine_comparison(
   eval_pair(pop, scale, fa, sys, res.fedavg_acc, res.nebula_acc);
   res.nebula_finite = model_state_finite(sys.cloud());
   res.fedavg_finite = all_finite(get_state(fa.global()));
-  obs::gauge("experiment.byzantine." + metric_token(env.spec.dataset_name) +
-             "." + metric_token(env.spec.partition_name) + "." +
-             robust_aggregator_name(robust.kind) + ".wall_s")
-      .set(wall.elapsed_s());
   return res;
 }
 
@@ -464,7 +439,6 @@ DriftSweepResult run_drift_comparison(TaskEnv& env, const BenchScale& scale,
                                       std::uint64_t seed,
                                       std::int64_t drift_onset_round) {
   NEBULA_SPAN("experiment.drift");
-  obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
   auto [fa, sys] = make_fedavg_vs_nebula(env, scale, seed, {});
 
@@ -520,9 +494,6 @@ DriftSweepResult run_drift_comparison(TaskEnv& env, const BenchScale& scale,
   if (recording) res.alerts = rec.alerts();
 
   eval_pair(pop, scale, fa, sys, res.fedavg_acc, res.nebula_acc);
-  obs::gauge("experiment.drift." + metric_token(env.spec.dataset_name) + "." +
-             metric_token(env.spec.partition_name) + ".wall_s")
-      .set(wall.elapsed_s());
   return res;
 }
 

@@ -23,14 +23,4 @@ inline void he_normal(Tensor& w, std::int64_t fan_in, Rng& rng) {
   for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal(0.0f, stddev);
 }
 
-/// Xavier/Glorot uniform: limit = sqrt(6 / (fan_in + fan_out)).
-inline void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out,
-                           Rng& rng) {
-  const float limit =
-      std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
-    w[i] = rng.uniform(-limit, limit);
-  }
-}
-
 }  // namespace nebula::init

@@ -25,7 +25,6 @@ class Linear : public Layer {
   std::int64_t out_features() const { return out_; }
   Param& weight() { return w_; }
   Param& bias() { return b_; }
-  bool has_bias() const { return has_bias_; }
 
  private:
   std::int64_t in_, out_;

@@ -23,7 +23,6 @@ class Optimizer {
   }
 
   float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
 
  protected:
   std::vector<Param*> params_;

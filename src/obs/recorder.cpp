@@ -195,20 +195,6 @@ void FlightRecorder::record_device_event(std::int64_t round, int device,
   timeline_.record(round, device, kind, source, value, detail);
 }
 
-void FlightRecorder::record_participation(
-    std::int64_t round, const std::vector<std::size_t>& devices,
-    const std::vector<char>& uploaded, const char* source) {
-  if (!enabled()) return;
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    const int dev = static_cast<int>(devices[i]);
-    timeline_.record(round, dev, TimelineKind::kSelected, source);
-    timeline_.record(round, dev,
-                     uploaded[i] ? TimelineKind::kCompleted
-                                 : TimelineKind::kDropped,
-                     source);
-  }
-}
-
 std::vector<Alert> FlightRecorder::alerts() const {
   std::lock_guard<std::mutex> lock(mu_);
   return alerts_;

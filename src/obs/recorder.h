@@ -81,14 +81,6 @@ class FlightRecorder {
                            const char* source = "nebula", double value = 0.0,
                            const char* detail = "");
 
-  /// A baseline round's timeline feed: for each participant `devices[i]`,
-  /// kSelected, then kCompleted if `uploaded[i]` else kDropped. No-op when
-  /// disabled.
-  void record_participation(std::int64_t round,
-                            const std::vector<std::size_t>& devices,
-                            const std::vector<char>& uploaded,
-                            const char* source);
-
   // ---- In-process queries ---------------------------------------------------
 
   TimeSeriesRing& timeseries() { return timeseries_; }

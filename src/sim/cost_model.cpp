@@ -92,14 +92,4 @@ double CostModel::transfer_time_s(std::int64_t bytes,
   return t;
 }
 
-ResourceCost CostModel::resource_cost(
-    Layer& model, std::vector<std::int64_t> sample_shape) {
-  ResourceCost rc;
-  rc.comm_mb = model_size_mb(model);
-  rc.comp_gflops =
-      static_cast<double>(forward_flops(model, sample_shape)) / 1e9;
-  rc.mem_mb = training_peak_mem_mb(model, std::move(sample_shape));
-  return rc;
-}
-
 }  // namespace nebula

@@ -15,12 +15,6 @@
 
 namespace nebula {
 
-struct ResourceCost {
-  double comm_mb = 0.0;       // model-state transfer size
-  double comp_gflops = 0.0;   // forward FLOPs for one sample, in GFLOP
-  double mem_mb = 0.0;        // training peak memory
-};
-
 class CostModel {
  public:
   /// On-disk / on-wire size of the model parameters (MB).
@@ -83,10 +77,6 @@ class CostModel {
     if (training) return device.has_gpu ? 0.15e-3 : 0.06e-3;
     return device.has_gpu ? 0.05e-3 : 0.02e-3;
   }
-
-  /// Bundles the three §5.1 resource dimensions for a candidate model.
-  static ResourceCost resource_cost(Layer& model,
-                                    std::vector<std::int64_t> sample_shape);
 
  private:
   static std::vector<std::int64_t> batched(std::vector<std::int64_t> shape,

@@ -79,19 +79,10 @@ class RuntimeMonitor {
   }
 
   std::int64_t co_running() const { return co_running_; }
-  void set_co_running(std::int64_t n) {
-    NEBULA_CHECK(n >= 0);
-    co_running_ = n;
-  }
 
   /// Latency multiplier under contention: 1 + 1.3533 * n (≈5.06 at n = 3).
   double contention_factor() const {
     return 1.0 + 1.3533 * static_cast<double>(co_running_);
-  }
-
-  /// Fraction of device memory claimed by co-running processes.
-  double memory_pressure() const {
-    return std::min(0.6, 0.12 * static_cast<double>(co_running_));
   }
 
  private:

@@ -104,8 +104,11 @@ TEST_F(FleetFixture, FedAvgRoundImprovesAndCountsComm) {
   pre.epochs = 4;
   fa.pretrain(proxy_, pre);
   const std::int64_t model_bytes = state_bytes(fa.global());
-  auto participants = fa.round();
-  EXPECT_EQ(participants.size(), 4u);
+  const RoundReport rep = fa.round();
+  EXPECT_EQ(rep.participants.size(), 4u);
+  EXPECT_EQ(rep.completed, rep.participants);
+  EXPECT_TRUE(rep.aggregated);
+  EXPECT_EQ(rep.goodput_bytes, 8 * model_bytes);
   // Full model both ways for every participant.
   EXPECT_EQ(fa.ledger().download_bytes(), 4 * model_bytes);
   EXPECT_EQ(fa.ledger().upload_bytes(), 4 * model_bytes);
@@ -132,8 +135,10 @@ TEST_F(FleetFixture, FedAvgHasNoFaultDefences) {
   FaultInjector drop_inj(all_drop);
   fa.set_fault_injector(&drop_inj);
   const auto before = get_state(fa.global());
-  auto participants = fa.round();
-  EXPECT_EQ(participants.size(), 4u);
+  const RoundReport rep = fa.round();
+  EXPECT_EQ(rep.participants.size(), 4u);
+  EXPECT_EQ(rep.dropped, rep.participants);
+  EXPECT_FALSE(rep.aggregated);
   EXPECT_EQ(get_state(fa.global()), before);
   EXPECT_EQ(fa.ledger().download_bytes(), 0);
 
@@ -175,7 +180,7 @@ TEST_F(FleetFixture, HeteroFLTiersShrinkWithCapacity) {
   TrainConfig pre;
   pre.epochs = 3;
   hfl.pretrain(proxy_, pre);
-  auto participants = hfl.round();
+  auto participants = hfl.round().participants;
   EXPECT_EQ(participants.size(), 4u);
   EXPECT_GT(hfl.ledger().total_bytes(), 0);
   // Smaller tiers transmit less than the full model would.

@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -520,14 +521,14 @@ TEST(RecorderIntegration, BaselineRoundsFeedSelectedThenOutcome) {
                *w.pop, w.profiles, HeteroFLConfig{});
   fa.set_fault_injector(&faults);
   hfl.set_fault_injector(&faults);
-  const auto fa_devs = fa.round();
-  const auto hfl_devs = hfl.round();
+  const RoundReport fa_rep = fa.round();
+  const RoundReport hfl_rep = hfl.round();
 
   // Per participant and source: exactly kSelected, then kCompleted or
-  // kDropped, in the baseline's round 0.
-  auto check = [](const char* source, const std::vector<std::int64_t>& devs) {
+  // kDropped (matching the report), in the baseline's round 0.
+  auto check = [](const char* source, const RoundReport& rep) {
     std::size_t dropped = 0;
-    for (std::int64_t dev : devs) {
+    for (std::int64_t dev : rep.participants) {
       std::vector<TimelineKind> kinds;
       for (const auto& e :
            obs::recorder().timeline().events_for(static_cast<int>(dev))) {
@@ -537,14 +538,19 @@ TEST(RecorderIntegration, BaselineRoundsFeedSelectedThenOutcome) {
       }
       ASSERT_EQ(kinds.size(), 2u) << source << " device " << dev;
       EXPECT_EQ(kinds[0], TimelineKind::kSelected);
-      EXPECT_TRUE(kinds[1] == TimelineKind::kCompleted ||
-                  kinds[1] == TimelineKind::kDropped);
-      dropped += kinds[1] == TimelineKind::kDropped ? 1 : 0;
+      const bool was_dropped =
+          std::find(rep.dropped.begin(), rep.dropped.end(), dev) !=
+          rep.dropped.end();
+      EXPECT_EQ(kinds[1], was_dropped ? TimelineKind::kDropped
+                                      : TimelineKind::kCompleted);
+      dropped += was_dropped ? 1 : 0;
     }
+    EXPECT_EQ(dropped, rep.dropped.size());
+    EXPECT_EQ(rep.completed.size() + dropped, rep.participants.size());
     EXPECT_GT(dropped, 0u) << source << ": no dropout in a 40% dropout round";
   };
-  check("fedavg", fa_devs);
-  check("heterofl", hfl_devs);
+  check("fedavg", fa_rep);
+  check("heterofl", hfl_rep);
 }
 
 TEST(RecorderIntegration, AdaptRejectionIsTimelinedUnderItsOwnSource) {

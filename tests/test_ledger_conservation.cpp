@@ -5,7 +5,12 @@
 // tests pin it end-to-end across whole runs, via the public report fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "baselines/fedavg.h"
+#include "baselines/heterofl.h"
 #include "core/nebula.h"
+#include "nn/init.h"
 #include "sim/faults.h"
 
 namespace nebula {
@@ -39,6 +44,38 @@ struct SmallWorld {
     return NebulaSystem(make_modular_mlp(32, 6, opts), *pop, profiles, cfg);
   }
 };
+
+// A baseline round's completed and dropped lists partition its
+// participants: every sampled device is in exactly one of them.
+void expect_baseline_partition(const RoundReport& rep) {
+  std::vector<std::int64_t> seen = rep.completed;
+  seen.insert(seen.end(), rep.dropped.begin(), rep.dropped.end());
+  std::vector<std::int64_t> participants = rep.participants;
+  std::sort(seen.begin(), seen.end());
+  std::sort(participants.begin(), participants.end());
+  EXPECT_EQ(seen, participants) << "round " << rep.round_index;
+  EXPECT_EQ(rep.aggregated, !rep.completed.empty());
+}
+
+// Runs `rounds` of a baseline engine and checks per-round conservation, the
+// completed/dropped partition, and that the deltas tile the ledger.
+template <typename Engine>
+void expect_baseline_conserves(Engine& engine, int rounds) {
+  std::int64_t attempted = 0, goodput = 0;
+  std::size_t dropped = 0;
+  for (int r = 0; r < rounds; ++r) {
+    const RoundReport rep = engine.round();
+    EXPECT_EQ(rep.attempted_bytes, rep.goodput_bytes + rep.overhead_bytes)
+        << "round " << rep.round_index;
+    expect_baseline_partition(rep);
+    attempted += rep.attempted_bytes;
+    goodput += rep.goodput_bytes;
+    dropped += rep.dropped.size();
+  }
+  EXPECT_EQ(goodput, engine.ledger().total_bytes());
+  EXPECT_EQ(attempted, engine.ledger().attempted_bytes());
+  EXPECT_GT(dropped, 0u);  // the seeded schedule drops someone
+}
 
 TEST(LedgerConservation, FaultyRoundsConserveAttemptedBytes) {
   SmallWorld world;
@@ -77,6 +114,30 @@ TEST(LedgerConservation, FaultyRoundsConserveAttemptedBytes) {
   // the schedule is seeded, so this is a deterministic pin, not a flake.
   EXPECT_GT(retries, 0);
   EXPECT_GT(overhead, 0);
+
+  // The baselines run the same round driver and get the same check, under
+  // dropout and crashes after local training.
+  FaultConfig bc;
+  bc.dropout_prob = 0.2;
+  bc.crash_prob = 0.3;
+  bc.seed = 1235;
+  FaultInjector baseline_faults(bc);
+  TrainConfig pre;
+  pre.epochs = 1;
+  init::reseed(171);
+  FedAvgConfig fa_cfg;
+  fa_cfg.devices_per_round = 4;
+  FedAvg fa(make_plain_mlp(32, 6, 1.0), *world.pop, fa_cfg);
+  fa.pretrain(world.proxy.data, pre);
+  fa.set_fault_injector(&baseline_faults);
+  expect_baseline_conserves(fa, 4);
+  HeteroFLConfig hfl_cfg;
+  hfl_cfg.devices_per_round = 4;
+  HeteroFL hfl([](double w) { return make_plain_mlp(32, 6, w); }, *world.pop,
+               world.profiles, hfl_cfg);
+  hfl.pretrain(world.proxy.data, pre);
+  hfl.set_fault_injector(&baseline_faults);
+  expect_baseline_conserves(hfl, 4);
 }
 
 TEST(LedgerConservation, CleanRoundsHaveZeroOverhead) {

@@ -157,6 +157,15 @@ void expect_reports_identical(const RoundReport& a, const RoundReport& b) {
   EXPECT_EQ(a.aggregated, b.aggregated);
 }
 
+void expect_reports_identical(const std::vector<RoundReport>& a,
+                              const std::vector<RoundReport>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    expect_reports_identical(a[r], b[r]);
+  }
+}
+
 void expect_ledgers_identical(const CommLedger& a, const CommLedger& b) {
   EXPECT_EQ(a.download_bytes(), b.download_bytes());
   EXPECT_EQ(a.upload_bytes(), b.upload_bytes());
@@ -201,11 +210,7 @@ void expect_serial_parallel_identical_for(
       for (int r = 0; r < rounds; ++r) pr.push_back(parallel.round());
     });
 
-    ASSERT_EQ(sr.size(), pr.size());
-    for (std::size_t r = 0; r < sr.size(); ++r) {
-      SCOPED_TRACE("round " + std::to_string(r));
-      expect_reports_identical(sr[r], pr[r]);
-    }
+    expect_reports_identical(sr, pr);
     expect_ledgers_identical(serial.ledger(), parallel.ledger());
     expect_states_bitwise_equal(serial_snap, cloud_snapshot(parallel));
   }
@@ -290,14 +295,14 @@ TEST(ParallelRound, FedAvgRoundsAreBitIdentical) {
   parallel.pretrain(w2.proxy.data, pre);
   parallel.set_fault_injector(&inj_b);
 
-  std::vector<std::vector<std::int64_t>> sp, pp;
+  std::vector<RoundReport> sp, pp;
   with_pool(kSerialWorkers, [&] {
     for (int r = 0; r < 3; ++r) sp.push_back(serial.round());
   });
   with_pool(kParallelWorkers, [&] {
     for (int r = 0; r < 3; ++r) pp.push_back(parallel.round());
   });
-  EXPECT_EQ(sp, pp);
+  expect_reports_identical(sp, pp);
   expect_states_bitwise_equal(get_state(serial.global()),
                               get_state(parallel.global()));
   expect_ledgers_identical(serial.ledger(), parallel.ledger());
@@ -320,14 +325,14 @@ TEST(ParallelRound, HeteroFLRoundsAreBitIdentical) {
   HeteroFL parallel(factory, *w2.pop, w2.profiles, cfg);
   parallel.pretrain(w2.proxy.data, pre);
 
-  std::vector<std::vector<std::int64_t>> sp, pp;
+  std::vector<RoundReport> sp, pp;
   with_pool(kSerialWorkers, [&] {
     for (int r = 0; r < 3; ++r) sp.push_back(serial.round());
   });
   with_pool(kParallelWorkers, [&] {
     for (int r = 0; r < 3; ++r) pp.push_back(parallel.round());
   });
-  EXPECT_EQ(sp, pp);
+  expect_reports_identical(sp, pp);
   expect_states_bitwise_equal(get_state(serial.global()),
                               get_state(parallel.global()));
   expect_ledgers_identical(serial.ledger(), parallel.ledger());
@@ -381,27 +386,21 @@ TEST(ParallelRoundConv, FedAvgRoundsAreBitIdentical) {
     FedAvg sys(make_plain_resnet18({3, 8, 8}, 10, 1.0), *w.pop, cfg);
     sys.pretrain(w.proxy.data, pre);
     sys.set_fault_injector(&inj);
-    std::vector<std::vector<std::int64_t>> parts;
+    std::vector<RoundReport> reports;
     with_pool(workers, [&] {
-      for (int r = 0; r < 2; ++r) parts.push_back(sys.round());
+      for (int r = 0; r < 2; ++r) reports.push_back(sys.round());
     });
-    return std::make_tuple(
-        std::move(parts), get_state(sys.global()),
-        std::make_tuple(sys.ledger().download_bytes(),
-                        sys.ledger().upload_bytes(),
-                        sys.ledger().overhead_bytes(),
-                        sys.ledger().download_attempts(),
-                        sys.ledger().upload_attempts(),
-                        sys.ledger().failed_attempts()));
+    return std::make_tuple(std::move(reports), get_state(sys.global()),
+                           sys.ledger());
   };
 
   const auto serial = run(kSerialWorkers);
   for (const std::size_t workers : kConvPoolSizes) {
     SCOPED_TRACE("pool size " + std::to_string(workers));
     const auto parallel = run(workers);
-    EXPECT_EQ(std::get<0>(serial), std::get<0>(parallel));
+    expect_reports_identical(std::get<0>(serial), std::get<0>(parallel));
     expect_states_bitwise_equal(std::get<1>(serial), std::get<1>(parallel));
-    EXPECT_EQ(std::get<2>(serial), std::get<2>(parallel));
+    expect_ledgers_identical(std::get<2>(serial), std::get<2>(parallel));
   }
 }
 
@@ -424,19 +423,21 @@ TEST(ParallelRoundConv, HeteroFLRoundsAreBitIdentical) {
     HeteroFL sys(factory, *w.pop, w.profiles, cfg);
     sys.pretrain(w.proxy.data, pre);
     sys.set_fault_injector(&inj);
-    std::vector<std::vector<std::int64_t>> parts;
+    std::vector<RoundReport> reports;
     with_pool(workers, [&] {
-      for (int r = 0; r < 2; ++r) parts.push_back(sys.round());
+      for (int r = 0; r < 2; ++r) reports.push_back(sys.round());
     });
-    return std::make_pair(std::move(parts), get_state(sys.global()));
+    return std::make_tuple(std::move(reports), get_state(sys.global()),
+                           sys.ledger());
   };
 
   const auto serial = run(kSerialWorkers);
   for (const std::size_t workers : kConvPoolSizes) {
     SCOPED_TRACE("pool size " + std::to_string(workers));
     const auto parallel = run(workers);
-    EXPECT_EQ(serial.first, parallel.first);
-    expect_states_bitwise_equal(serial.second, parallel.second);
+    expect_reports_identical(std::get<0>(serial), std::get<0>(parallel));
+    expect_states_bitwise_equal(std::get<1>(serial), std::get<1>(parallel));
+    expect_ledgers_identical(std::get<2>(serial), std::get<2>(parallel));
   }
 }
 
